@@ -410,10 +410,9 @@ Archive::put(const std::string &name, const std::vector<std::uint8_t> &data,
     object.crc32_value = crc32({data.data(), data.size()});
     object.shards.resize(num_shards);
 
-    // Each shard is an independent codec run; encode them as a batch
-    // over the thread pool (encoder is const and thus shareable).
+    // Each shard is an independent codec run; encode them as one
+    // parallel loop (encoder is const and thus shareable).
     std::vector<std::vector<Strand>> tagged(num_shards);
-    std::vector<std::string> failures(num_shards);
     const auto encodeShard = [&](std::size_t s) {
         const std::size_t begin =
             s * static_cast<std::size_t>(max_shard);
@@ -424,45 +423,28 @@ Archive::put(const std::string &name, const std::vector<std::uint8_t> &data,
             data.begin() + static_cast<std::ptrdiff_t>(end));
         const std::uint32_t pair_id =
             first_pair + static_cast<std::uint32_t>(s);
-        try {
-            std::vector<Strand> strands = encoder_->encode(shard_bytes);
-            const PrimerPair pair = publishedLibrary().pairFor(pair_id);
-            for (Strand &payload : strands)
-                payload = attachPrimers(pair, payload);
+        std::vector<Strand> strands = encoder_->encode(shard_bytes);
+        const PrimerPair pair = publishedLibrary().pairFor(pair_id);
+        for (Strand &payload : strands)
+            payload = attachPrimers(pair, payload);
 
-            ShardEntry &entry = object.shards[s];
-            entry.pair_id = pair_id;
-            entry.size_bytes = shard_bytes.size();
-            entry.units = static_cast<std::uint32_t>(
-                encoder_->unitsForSize(shard_bytes.size()));
-            entry.strands = static_cast<std::uint32_t>(strands.size());
-            tagged[s] = std::move(strands);
-        } catch (const std::exception &e) {
-            failures[s] = e.what();
-        }
+        ShardEntry &entry = object.shards[s];
+        entry.pair_id = pair_id;
+        entry.size_bytes = shard_bytes.size();
+        entry.units = static_cast<std::uint32_t>(
+            encoder_->unitsForSize(shard_bytes.size()));
+        entry.strands = static_cast<std::uint32_t>(strands.size());
+        tagged[s] = std::move(strands);
     };
 
-    if (num_threads > 1 && num_shards > 1) {
-        try {
-            ThreadPool pool(num_threads);
-            pool.parallelFor(0, num_shards, encodeShard);
-        } catch (const std::exception &e) {
-            result.status = ArchiveStatus::EncodeFailed;
-            result.error = std::string("shard encode batch failed: ") +
-                           e.what();
-            return result;
-        }
-    } else {
-        for (std::size_t s = 0; s < num_shards; ++s)
-            encodeShard(s);
-    }
-    for (std::size_t s = 0; s < num_shards; ++s) {
-        if (!failures[s].empty()) {
-            result.status = ArchiveStatus::EncodeFailed;
-            result.error = "shard " + std::to_string(s) +
-                           " encode failed: " + failures[s];
-            return result;
-        }
+    // A failed shard throws out of the loop (several failures arrive as
+    // one ParallelError naming each).
+    try {
+        parallelFor(num_threads, 0, num_shards, encodeShard);
+    } catch (const std::exception &e) {
+        result.status = ArchiveStatus::EncodeFailed;
+        result.error = std::string("shard encode failed: ") + e.what();
+        return result;
     }
 
     // Merge into the pool; roll everything back if persisting fails so
@@ -577,7 +559,6 @@ Archive::decodeShard(const ShardEntry &shard, const RetrievalConfig &config,
 
         PipelineConfig pcfg;
         pcfg.coverage = coverage;
-        pcfg.num_threads = 1; // Parallelism lives at the shard level.
         pcfg.seed = shardSeed(config.seed ^ 0x5eedULL, shard.pair_id);
         pcfg.min_cluster_size = config.min_cluster_size;
         pcfg.max_decode_retries = config.max_decode_retries;
@@ -611,86 +592,7 @@ Archive::decodeShard(const ShardEntry &shard, const RetrievalConfig &config,
 GetResult
 Archive::get(const std::string &name, const RetrievalConfig &config) const
 {
-    obs::Span span("archive/get");
-    obs::StageTagScope tag("archive.get");
-    GetResult result;
-    const ObjectEntry *object = manifest_.findObject(name);
-    if (object == nullptr) {
-        result.status = ArchiveStatus::NotFound;
-        result.error = "no object named '" + name + "'";
-        return result;
-    }
-    if (object->shards.empty()) {
-        result.status = ArchiveStatus::CorruptManifest;
-        result.error = "object '" + name + "' has no shards";
-        return result;
-    }
-    if (!ensurePairs(manifest_.nextPairId(), result.error)) {
-        result.status = ArchiveStatus::CorruptManifest;
-        return result;
-    }
-
-    const std::size_t num_shards = object->shards.size();
-    result.shards.resize(num_shards);
-    std::vector<std::vector<std::uint8_t>> payloads(num_shards);
-
-    // A fault injector is stateful (own RNG + counters), so its runs
-    // must stay serial to remain deterministic.
-    const bool parallel = config.num_threads > 1 && num_shards > 1 &&
-                          config.fault_injector == nullptr;
-    if (parallel) {
-        try {
-            ThreadPool pool(config.num_threads);
-            pool.parallelFor(0, num_shards, [&](std::size_t s) {
-                payloads[s] = decodeShard(object->shards[s], config,
-                                          result.shards[s]);
-            });
-        } catch (const std::exception &e) {
-            result.status = ArchiveStatus::DecodeFailed;
-            result.error = std::string("shard decode batch failed: ") +
-                           e.what();
-            return result;
-        }
-    } else {
-        for (std::size_t s = 0; s < num_shards; ++s)
-            payloads[s] = decodeShard(object->shards[s], config,
-                                      result.shards[s]);
-    }
-
-    std::size_t decoded = 0;
-    std::string failed_list;
-    for (std::size_t s = 0; s < num_shards; ++s) {
-        if (result.shards[s].ok) {
-            ++decoded;
-        } else {
-            if (!failed_list.empty())
-                failed_list += ", ";
-            failed_list += std::to_string(s);
-        }
-    }
-    obs::metrics().counter("archive.shards_decoded_total").add(decoded);
-    obs::metrics().counter("archive.gets_total").add(1);
-
-    if (decoded != num_shards) {
-        result.status = ArchiveStatus::DecodeFailed;
-        result.error = "object '" + name + "': shard(s) " + failed_list +
-                       " failed to decode";
-        return result;
-    }
-
-    for (std::vector<std::uint8_t> &payload : payloads)
-        result.data.insert(result.data.end(), payload.begin(),
-                           payload.end());
-    if (result.data.size() != object->size_bytes ||
-        crc32({result.data.data(), result.data.size()}) !=
-            object->crc32_value) {
-        result.status = ArchiveStatus::DecodeFailed;
-        result.error = "object '" + name +
-                       "': reassembled payload failed CRC check";
-        result.data.clear();
-        return result;
-    }
-    return result;
+    return getMany({name}, config)[0];
 }
 
 std::vector<GetResult>
@@ -749,25 +651,21 @@ Archive::getMany(const std::vector<std::string> &names,
             decodeShard(objects[item.object]->shards[item.shard], config,
                         results[item.object].shards[item.shard]);
     };
-    const bool parallel = config.num_threads > 1 && work.size() > 1 &&
-                          config.fault_injector == nullptr;
-    if (parallel) {
-        try {
-            ThreadPool pool(config.num_threads);
-            pool.parallelFor(0, work.size(), decode_one);
-        } catch (const std::exception &e) {
-            for (std::size_t i = 0; i < names.size(); ++i) {
-                if (objects[i] == nullptr)
-                    continue;
-                results[i].status = ArchiveStatus::DecodeFailed;
-                results[i].error =
-                    std::string("shard decode batch failed: ") + e.what();
-            }
-            return results;
+    // A fault injector is stateful (own RNG + counters), so its runs
+    // must stay serial to remain deterministic.
+    try {
+        parallelFor(config.fault_injector == nullptr ? config.num_threads
+                                                     : 1,
+                    0, work.size(), decode_one);
+    } catch (const std::exception &e) {
+        for (std::size_t i = 0; i < names.size(); ++i) {
+            if (objects[i] == nullptr)
+                continue;
+            results[i].status = ArchiveStatus::DecodeFailed;
+            results[i].error =
+                std::string("shard decode batch failed: ") + e.what();
         }
-    } else {
-        for (std::size_t w = 0; w < work.size(); ++w)
-            decode_one(w);
+        return results;
     }
 
     std::size_t shards_decoded = 0;

@@ -15,7 +15,8 @@
  * Large objects are sharded into bounded-size sub-pools; every shard is
  * an independent codec run under its own primer pair, so shards decode
  * in isolation (a corrupted shard cannot poison its neighbours) and
- * batch across the ThreadPool.  The manifest itself is additionally
+ * run as one parallelFor over the shared executor (util/thread_pool.hh).
+ * The manifest itself is additionally
  * encoded into the pool under the reserved pair id 0, keeping the
  * archive self-describing in DNA.
  *
@@ -97,7 +98,7 @@ struct RetrievalConfig
     double pcr_off_target = 0.0;  //!< Contamination rate of PCR selection.
     std::size_t primer_max_edit = 5; //!< Primer-trim edit tolerance.
     std::uint64_t seed = 0xa5c1ULL; //!< Simulation seed (per-shard mixed).
-    std::size_t num_threads = 1;  //!< Shard-decode batch parallelism.
+    std::size_t num_threads = 1;  //!< Shard-decode threads, caller included.
     std::size_t min_cluster_size = 2;
     std::size_t max_decode_retries = 1; //!< PR-1 recovery budget per shard.
 
@@ -167,7 +168,7 @@ class Archive
 
     /**
      * Store @p data under @p name: shard, encode every shard as its own
-     * codec run (batched over the ThreadPool when num_threads > 1), tag
+     * codec run (on up to num_threads threads, the caller included), tag
      * each shard's strands with a fresh primer pair and merge them into
      * the pool.  Persists manifest + pool before returning Ok.
      */
@@ -179,21 +180,22 @@ class Archive
      * Retrieve @p name: PCR-select each shard's primer pair out of the
      * mixed pool, simulate sequencing through the configured channel,
      * preprocess (orientation + primer trim) and decode each shard
-     * independently.  Shards decode in parallel over the ThreadPool
-     * when config.num_threads > 1.  On success data is byte-exact
-     * (object CRC verified); on failure the per-shard outcomes pin
-     * down exactly which shards and stages degraded.
+     * independently, on up to config.num_threads threads.  On success
+     * data is byte-exact (object CRC verified); on failure the
+     * per-shard outcomes pin down exactly which shards and stages
+     * degraded.  Equivalent to getMany({name}, config)[0].
      */
     [[nodiscard]] GetResult get(const std::string &name,
                                 const RetrievalConfig &config = {}) const;
 
     /**
      * Retrieve several objects in ONE batched shard-decode pass: all
-     * shards of all requested objects flatten into a single ThreadPool
-     * batch, so a multi-object read amortises pool scans and keeps the
-     * workers saturated even when individual objects have few shards
-     * (the `dnastored` scheduler's batching hook).  Results align with
+     * shards of all requested objects flatten into a single parallelFor
+     * of up to config.num_threads threads, so a multi-object read keeps
+     * them busy even when individual objects have few shards (the
+     * `dnastored` scheduler's batching hook).  Results align with
      * @p names index-for-index; per-object failures are independent.
+     * Every call, get() included, adds one archive.get_batches_total.
      */
     [[nodiscard]] std::vector<GetResult>
     getMany(const std::vector<std::string> &names,

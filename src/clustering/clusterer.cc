@@ -93,17 +93,9 @@ RashtchianClusterer::cluster(const std::vector<Strand> &reads)
     WallTimer sig_timer;
     obs::Span sig_span("clustering/signature_pass");
     std::vector<Signature> signatures(reads.size());
-    std::unique_ptr<ThreadPool> pool;
-    if (cfg.num_threads > 1)
-        pool = std::make_unique<ThreadPool>(cfg.num_threads);
-    if (pool) {
-        pool->parallelFor(0, reads.size(), [&](std::size_t i) {
-            signatures[i] = scheme.compute(reads[i]);
-        });
-    } else {
-        for (std::size_t i = 0; i < reads.size(); ++i)
-            signatures[i] = scheme.compute(reads[i]);
-    }
+    parallelFor(cfg.num_threads, 0, reads.size(), [&](std::size_t i) {
+        signatures[i] = scheme.compute(reads[i]);
+    });
     sig_span.end();
     last_stats.signature_seconds = sig_timer.seconds();
 
@@ -199,12 +191,7 @@ RashtchianClusterer::cluster(const std::vector<Strand> &reads)
             }
         };
 
-        if (pool) {
-            pool->parallelFor(0, buckets.size(), process_bucket);
-        } else {
-            for (std::size_t b = 0; b < buckets.size(); ++b)
-                process_bucket(b);
-        }
+        parallelFor(cfg.num_threads, 0, buckets.size(), process_bucket);
     }
 
     last_stats.clustering_seconds = merge_timer.seconds();

@@ -1,6 +1,7 @@
 #include "core/pipeline.hh"
 
 #include <algorithm>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 
@@ -10,6 +11,7 @@
 #include "obs/stage_tag.hh"
 #include "simulator/sequencing_run.hh"
 #include "util/assert.hh"
+#include "util/thread_pool.hh"
 #include "util/timer.hh"
 
 namespace dnastore
@@ -89,50 +91,35 @@ reconstructSalvaging(const Reconstructor &algo,
                      std::size_t strand_length, std::size_t num_threads,
                      PipelineResult &result)
 {
-    std::vector<std::vector<Strand>> selected;
-    selected.reserve(selection.size());
-    for (std::size_t g : selection)
-        selected.push_back(groups[g]);
-
-    if (num_threads > 1) {
+    // One slot per selected group, so the salvaged output keeps the
+    // selection order whatever the thread count.
+    std::vector<Strand> slots(selection.size());
+    std::vector<std::optional<std::string>> slot_errors(selection.size());
+    parallelFor(num_threads, 0, selection.size(), [&](std::size_t i) {
+        obs::Span cluster_span("reconstruction/cluster");
         try {
-            auto consensus = reconstructAll(algo, selected, strand_length,
-                                            num_threads);
-            return {std::move(consensus), selection};
+            slots[i] = algo.reconstruct(groups[selection[i]], strand_length);
         } catch (const std::exception &error) {
-            addError(result, "reconstruction",
-                     std::string("parallel reconstruction failed, retrying "
-                                 "sequentially: ") +
-                         error.what());
-            degradeTo(result.status.reconstruction, StageStatus::Degraded);
+            slot_errors[i] = error.what();
         } catch (...) {
-            addError(result, "reconstruction",
-                     "parallel reconstruction failed with an unknown "
-                     "exception, retrying sequentially");
-            degradeTo(result.status.reconstruction, StageStatus::Degraded);
+            slot_errors[i] = "unknown exception";
         }
-    }
+    });
 
     std::vector<Strand> consensus;
     std::vector<std::size_t> kept;
-    consensus.reserve(selected.size());
-    kept.reserve(selected.size());
+    consensus.reserve(selection.size());
+    kept.reserve(selection.size());
     std::size_t failures = 0;
     std::string first_failure;
-    for (std::size_t i = 0; i < selected.size(); ++i) {
-        obs::Span cluster_span("reconstruction/cluster");
-        try {
-            consensus.push_back(
-                algo.reconstruct(selected[i], strand_length));
+    std::uint64_t reads_seen = 0;
+    for (std::size_t i = 0; i < selection.size(); ++i) {
+        reads_seen += groups[selection[i]].size();
+        if (!slot_errors[i]) {
+            consensus.push_back(std::move(slots[i]));
             kept.push_back(selection[i]);
-        } catch (const std::exception &error) {
-            ++failures;
-            if (first_failure.empty())
-                first_failure = error.what();
-        } catch (...) {
-            ++failures;
-            if (first_failure.empty())
-                first_failure = "unknown exception";
+        } else if (failures++ == 0) {
+            first_failure = std::move(*slot_errors[i]);
         }
     }
     if (failures > 0) {
@@ -143,12 +130,9 @@ reconstructSalvaging(const Reconstructor &algo,
                   consensus.empty() ? StageStatus::Failed
                                     : StageStatus::Degraded);
     }
-    std::uint64_t reads_seen = 0;
-    for (const auto &group : selected)
-        reads_seen += group.size();
     obs::metrics()
         .counter("reconstruction.clusters_total")
-        .add(selected.size());
+        .add(selection.size());
     obs::metrics().counter("reconstruction.reads_total").add(reads_seen);
     return {std::move(consensus), std::move(kept)};
 }

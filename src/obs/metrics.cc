@@ -153,8 +153,14 @@ MetricsRegistry::resetAll()
 MetricsRegistry &
 metrics()
 {
-    static MetricsRegistry registry;
-    return registry;
+    // Never destroyed (the union's destructor skips its member): shared
+    // pool workers outlive main() and may publish during static teardown.
+    static union Storage {
+        Storage() : registry() {}
+        ~Storage() {}
+        MetricsRegistry registry;
+    } storage;
+    return storage.registry;
 }
 
 double

@@ -1,7 +1,7 @@
 /**
  * @file
  * The dnastored request scheduler (docs/SERVER.md): admission control,
- * get-coalescing and pool batching over the shared ThreadPool.
+ * get-coalescing and batching over the scheduler's own worker pool.
  *
  * Decode is seconds-per-object (clustering + consensus dominate), so
  * the scheduler's job is to do strictly less decode work than the
@@ -13,7 +13,9 @@
  *    while "photo.jpg" is already decoding rides along for free.
  *  - **Batching** — up to batch_max distinct queued objects dispatch as
  *    ONE Backend::fetchMany call, which flattens every object's shards
- *    into a single parallel pass over the pool.
+ *    into a single parallel loop.  The worker running the batch works
+ *    on that loop itself, with helpers from the process-wide executor
+ *    (util/thread_pool.hh) up to the retrieval num_threads.
  *  - **Admission** — load beyond max_inflight (global) or
  *    per_client_inflight (per connection) is rejected *immediately*
  *    with a typed status (Overloaded / QuotaExceeded) instead of
@@ -54,7 +56,8 @@ struct SchedulerMetrics; // Process-global obs handles (scheduler.cc).
 /** Scheduler knobs (daemon flags map onto these 1:1). */
 struct SchedulerConfig
 {
-    std::size_t num_threads = 0; //!< Pool workers; 0 = hardware.
+    /** Scheduler pool workers (run batches, puts, metadata); 0 = hardware. */
+    std::size_t num_threads = 0;
     std::size_t max_inflight = 64;       //!< Global admission limit.
     std::size_t per_client_inflight = 8; //!< Per-connection quota.
     std::size_t batch_max = 4; //!< Max distinct objects per fetch batch.
@@ -129,9 +132,6 @@ class Scheduler
 
     /** Snapshot of the instance-local totals. */
     [[nodiscard]] SchedulerCounters counters() const;
-
-    /** Worker threads backing this scheduler. */
-    std::size_t numThreads() const { return pool_.size(); }
 
   private:
     /** One admitted get waiting on (or riding) a fetch. */

@@ -1,9 +1,26 @@
 #include "util/args.hh"
 
+#include <charconv>
 #include <stdexcept>
+#include <system_error>
 
 namespace dnastore
 {
+
+namespace
+{
+
+/** Parse all of @p text: "4x", "" and out-of-range values fail. */
+template <typename T>
+bool
+parseWhole(const std::string &text, T &value)
+{
+    const char *end = text.data() + text.size();
+    const auto [stop, error] = std::from_chars(text.data(), end, value);
+    return error == std::errc() && stop == end;
+}
+
+} // namespace
 
 ArgParser::ArgParser(int argc, const char *const *argv)
 {
@@ -44,12 +61,24 @@ ArgParser::getInt(const std::string &name, std::int64_t fallback) const
     const auto it = options.find(name);
     if (it == options.end())
         return fallback;
-    try {
-        return std::stoll(it->second);
-    } catch (const std::exception &) {
-        throw std::invalid_argument("--" + name + " expects an integer, got '"
-                                    + it->second + "'");
-    }
+    std::int64_t value = 0;
+    if (!parseWhole(it->second, value))
+        throw std::invalid_argument("--" + name +
+                                    " expects an integer, got '" +
+                                    it->second + "'");
+    return value;
+}
+
+std::size_t
+ArgParser::getCount(const std::string &name, std::size_t fallback) const
+{
+    const std::int64_t value =
+        getInt(name, static_cast<std::int64_t>(fallback));
+    if (value < 0)
+        throw std::invalid_argument("--" + name +
+                                    " expects a non-negative count, got '" +
+                                    get(name) + "'");
+    return static_cast<std::size_t>(value);
 }
 
 double
@@ -58,12 +87,11 @@ ArgParser::getDouble(const std::string &name, double fallback) const
     const auto it = options.find(name);
     if (it == options.end())
         return fallback;
-    try {
-        return std::stod(it->second);
-    } catch (const std::exception &) {
-        throw std::invalid_argument("--" + name + " expects a number, got '"
-                                    + it->second + "'");
-    }
+    double value = 0.0;
+    if (!parseWhole(it->second, value))
+        throw std::invalid_argument("--" + name + " expects a number, got '" +
+                                    it->second + "'");
+    return value;
 }
 
 bool

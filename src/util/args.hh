@@ -6,6 +6,7 @@
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -33,10 +34,13 @@ class ArgParser
     std::string
     get(const std::string &name, const std::string &fallback = "") const;
 
-    /** Integer option with a default; throws on malformed input. */
+    /** Integer option with a default; throws unless all of it parses. */
     std::int64_t getInt(const std::string &name, std::int64_t fallback) const;
 
-    /** Floating-point option with a default; throws on malformed input. */
+    /** getInt for counts: a negative value throws instead of wrapping. */
+    std::size_t getCount(const std::string &name, std::size_t fallback) const;
+
+    /** Floating-point option with a default; throws unless all parses. */
     double getDouble(const std::string &name, double fallback) const;
 
     /** Boolean flag: present without value, "true"/"1" => true. */

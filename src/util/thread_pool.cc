@@ -1,7 +1,11 @@
 #include "util/thread_pool.hh"
 
+#include <pthread.h>
+
 #include <algorithm>
+#include <atomic>
 #include <exception>
+#include <memory>
 
 #include "obs/cpu_time.hh"
 #include "obs/metrics.hh"
@@ -142,60 +146,131 @@ ThreadPool::workerLoop()
     }
 }
 
-void
-ThreadPool::parallelFor(std::size_t begin, std::size_t end,
-                        const std::function<void(std::size_t)> &fn)
+namespace
 {
-    parallelChunks(begin, end,
-                   [&fn](std::size_t lo, std::size_t hi) {
-                       for (std::size_t i = lo; i < hi; ++i)
-                           fn(i);
-                   });
+
+/** Set in a child forked after the shared pool started. */
+std::atomic<bool> g_forked_child{false};
+
+std::string
+whatOf(const std::exception_ptr &error)
+{
+    try {
+        std::rethrow_exception(error);
+    } catch (const std::exception &e) {
+        return e.what();
+    } catch (...) {
+        return "unknown exception";
+    }
+}
+
+/**
+ * One parallelChunks call.  Helpers share it by shared_ptr, so a helper
+ * that starts after every chunk was claimed still finds it alive, claims
+ * nothing and returns without touching fn.
+ */
+struct Loop
+{
+    /** Claim and run chunks until none is left to claim. */
+    void
+    runChunks()
+    {
+        std::size_t c = 0;
+        while ((c = next.fetch_add(1, std::memory_order_acq_rel)) < chunks) {
+            const std::size_t lo = begin + c * chunk_size;
+            try {
+                fn(lo, std::min(end, lo + chunk_size));
+            } catch (...) {
+                errors[c] = std::current_exception();
+            }
+            if (done.fetch_add(1, std::memory_order_acq_rel) + 1 == chunks)
+                done.notify_all();
+        }
+    }
+
+    const std::function<void(std::size_t, std::size_t)> &fn;
+    const std::size_t begin;
+    const std::size_t end;
+    const std::size_t chunk_size;
+    const std::size_t chunks;
+    // Slot c is written only by whoever ran chunk c, before it counts
+    // the chunk done.
+    std::vector<std::exception_ptr> errors;
+    std::atomic<std::size_t> next{0}; //!< Next chunk to claim.
+    std::atomic<std::size_t> done{0}; //!< Chunks finished.
+};
+
+} // namespace
+
+ThreadPool &
+sharedThreadPool()
+{
+    // Never destroyed: loops may still run on other threads during
+    // static destruction, and a forked child could not join its workers.
+    static ThreadPool *const pool = [] {
+        ::pthread_atfork(nullptr, nullptr, [] {
+            g_forked_child.store(true, std::memory_order_release);
+        });
+        const unsigned cores = std::thread::hardware_concurrency();
+        return new ThreadPool(cores > 2 ? cores - 1 : 1);
+    }();
+    return *pool;
 }
 
 void
-ThreadPool::parallelChunks(
-    std::size_t begin, std::size_t end,
-    const std::function<void(std::size_t, std::size_t)> &fn)
+parallelChunks(std::size_t num_threads, std::size_t begin, std::size_t end,
+               const std::function<void(std::size_t, std::size_t)> &fn)
 {
     if (begin >= end)
         return;
     const std::size_t total = end - begin;
+    if (num_threads <= 1 || total == 1 ||
+        g_forked_child.load(std::memory_order_acquire)) {
+        fn(begin, end);
+        return;
+    }
     // Over-decompose a little so uneven work balances out.
-    const std::size_t chunks = std::min(total, size() * 4);
-    const std::size_t chunk_size = (total + chunks - 1) / chunks;
+    const std::size_t planned = std::min(total, num_threads * 4);
+    const std::size_t chunk_size = (total + planned - 1) / planned;
+    const std::size_t chunks = (total + chunk_size - 1) / chunk_size;
+    const auto loop = std::make_shared<Loop>(
+        fn, begin, end, chunk_size, chunks,
+        std::vector<std::exception_ptr>(chunks));
+    ThreadPool &pool = sharedThreadPool();
+    for (std::size_t h = 1; h < std::min(num_threads, chunks); ++h)
+        (void)pool.submit([loop] { loop->runChunks(); });
+    loop->runChunks();
+    // Nothing is left to claim: wait only for chunks that started
+    // helpers claimed.  Helpers that never started are not waited for.
+    std::size_t done = 0;
+    while ((done = loop->done.load(std::memory_order_acquire)) < chunks)
+        loop->done.wait(done, std::memory_order_acquire);
 
-    std::vector<std::future<void>> futures;
-    futures.reserve(chunks);
-    for (std::size_t lo = begin; lo < end; lo += chunk_size) {
-        const std::size_t hi = std::min(end, lo + chunk_size);
-        futures.push_back(submit([lo, hi, &fn] { fn(lo, hi); }));
+    // The caller takes the exceptions so it alone releases them.  A
+    // single failure rethrows unchanged; several become a ParallelError.
+    std::vector<std::exception_ptr> errors = std::move(loop->errors);
+    errors.erase(std::remove(errors.begin(), errors.end(), nullptr),
+                 errors.end());
+    if (errors.size() == 1)
+        std::rethrow_exception(errors.front());
+    if (!errors.empty()) {
+        std::vector<std::string> messages;
+        messages.reserve(errors.size());
+        for (const std::exception_ptr &error : errors)
+            messages.push_back(whatOf(error));
+        throw ParallelError(std::move(messages), chunks);
     }
-    DNASTORE_ASSERT(futures.size() <= chunks,
-                    "chunk decomposition must not exceed its plan");
+}
 
-    // Drain every future so no worker exception vanishes.  A single
-    // failure rethrows its original exception (type preserved); multiple
-    // failures are aggregated into one ParallelError.
-    std::exception_ptr first;
-    std::vector<std::string> messages;
-    for (auto &future : futures) {
-        try {
-            future.get();
-        } catch (const std::exception &error) {
-            if (!first)
-                first = std::current_exception();
-            messages.emplace_back(error.what());
-        } catch (...) {
-            if (!first)
-                first = std::current_exception();
-            messages.emplace_back("unknown exception");
-        }
-    }
-    if (messages.size() == 1)
-        std::rethrow_exception(first);
-    if (!messages.empty())
-        throw ParallelError(std::move(messages), futures.size());
+void
+parallelFor(std::size_t num_threads, std::size_t begin, std::size_t end,
+            const std::function<void(std::size_t)> &fn)
+{
+    parallelChunks(num_threads, begin, end,
+                   [&fn](std::size_t lo, std::size_t hi) {
+                       for (std::size_t i = lo; i < hi; ++i)
+                           fn(i);
+                   });
 }
 
 } // namespace dnastore

@@ -1,8 +1,10 @@
 /**
  * @file
- * A small fixed-size thread pool used by the clustering and reconstruction
- * modules.  Tasks are arbitrary callables; parallelFor provides chunked
- * data-parallel loops with exception propagation.
+ * The toolkit's one executor: every data-parallel loop calls the free
+ * parallelFor/parallelChunks, whose helpers come from one process-wide
+ * ThreadPool.  A module's `num_threads` caps the threads, the caller
+ * included, on its loops.  ThreadPool itself also serves owners of
+ * long-lived blocking workers (the dnastored scheduler).
  */
 
 #pragma once
@@ -102,24 +104,6 @@ class ThreadPool
         return future;
     }
 
-    /**
-     * Run fn(i) for every i in [begin, end), distributing contiguous chunks
-     * over the pool.  Blocks until all iterations finish.  If exactly one
-     * chunk throws, that exception is rethrown unchanged; if several
-     * throw, a ParallelError aggregating every failure is thrown instead.
-     */
-    void parallelFor(std::size_t begin, std::size_t end,
-                     const std::function<void(std::size_t)> &fn);
-
-    /**
-     * Run fn(chunk_begin, chunk_end) over contiguous ranges covering
-     * [begin, end).  Useful when per-chunk setup matters (e.g. a
-     * per-thread Rng stream).
-     */
-    void parallelChunks(
-        std::size_t begin, std::size_t end,
-        const std::function<void(std::size_t, std::size_t)> &fn);
-
   private:
     /**
      * A queued task plus the attribution the worker needs: when it was
@@ -142,5 +126,30 @@ class ThreadPool
     bool stopping DNASTORE_GUARDED_BY(mutex) = false;
 };
 
-} // namespace dnastore
+/**
+ * The pool behind parallelFor: hardware_concurrency() - 1 workers (at
+ * least 1), started on first use, never destroyed.  Its workers do not
+ * survive fork(), so a child forked after it started runs every loop
+ * inline; do not submit to it there.
+ */
+ThreadPool &sharedThreadPool();
 
+/**
+ * Run fn(chunk_begin, chunk_end) over min(total, 4 * num_threads)
+ * contiguous chunks of [begin, end) and block until all have run.  The
+ * caller claims chunks itself, helped by up to num_threads - 1 tasks of
+ * sharedThreadPool(); num_threads <= 1 or a single item runs inline
+ * without touching the pool.  Nested loops cannot deadlock: the caller
+ * waits only for chunks that started helpers claimed, and a helper that
+ * starts after every chunk was claimed returns at once.  One failed
+ * chunk rethrows its exception unchanged; several throw ParallelError.
+ */
+void parallelChunks(std::size_t num_threads, std::size_t begin,
+                    std::size_t end,
+                    const std::function<void(std::size_t, std::size_t)> &fn);
+
+/** parallelChunks, calling fn(i) for every i in [begin, end). */
+void parallelFor(std::size_t num_threads, std::size_t begin, std::size_t end,
+                 const std::function<void(std::size_t)> &fn);
+
+} // namespace dnastore

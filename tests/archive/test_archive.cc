@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.hh"
 #include "util/random.hh"
 
 using namespace dnastore;
@@ -545,21 +546,57 @@ TEST_F(ArchiveTest, ParallelAndSerialGetsAgree)
     auto created = Archive::create(dir(), smallParams());
     ASSERT_TRUE(created.ok()) << created.error;
     const auto payload = patternBytes(1100, 7);
+    const auto other = patternBytes(700, 8);
     ASSERT_TRUE(created.archive->put("obj", payload, 4).ok());
+    ASSERT_TRUE(created.archive->put("other", other, 2).ok());
 
-    RetrievalConfig serial;
-    serial.error_rate = 0.02;
-    serial.seed = 77;
-    serial.num_threads = 1;
-    RetrievalConfig parallel = serial;
-    parallel.num_threads = 4;
+    // Work counters that must not depend on how shards are scheduled.
+    const auto work = [](const obs::MetricsSnapshot &delta) {
+        const auto count = [&delta](const char *name) {
+            const auto it = delta.counters.find(name);
+            return it == delta.counters.end() ? std::uint64_t{0}
+                                              : it->second;
+        };
+        return std::vector<std::uint64_t>{
+            count("clustering.edit_distance_calls_total"),
+            count("reconstruction.reads_total"),
+            count("decoding.rs_symbols_corrected_total") +
+                count("decoding.rs_erasures_total")};
+    };
 
-    const GetResult a = created.archive->get("obj", serial);
-    const GetResult b = created.archive->get("obj", parallel);
-    ASSERT_TRUE(a.ok()) << a.error;
-    ASSERT_TRUE(b.ok()) << b.error;
-    // Per-shard seeds depend only on (seed, pair_id), so thread count
-    // cannot change the result.
-    EXPECT_EQ(a.data, b.data);
-    EXPECT_EQ(a.data, payload);
+    std::vector<std::uint64_t> serial_get_work;
+    std::vector<std::uint64_t> serial_many_work;
+    for (const std::size_t threads : {1, 2, 4, 8}) {
+        SCOPED_TRACE("num_threads=" + std::to_string(threads));
+        RetrievalConfig cfg;
+        cfg.error_rate = 0.02;
+        cfg.seed = 77;
+        cfg.num_threads = threads;
+
+        obs::MetricsSnapshot before = obs::metrics().snapshot();
+        const GetResult got = created.archive->get("obj", cfg);
+        const auto get_work = work(obs::metrics().snapshot().delta(before));
+        ASSERT_TRUE(got.ok()) << got.error;
+        // Per-shard seeds depend only on (seed, pair_id), so thread
+        // count cannot change the result.
+        EXPECT_EQ(got.data, payload);
+
+        before = obs::metrics().snapshot();
+        const std::vector<GetResult> many =
+            created.archive->getMany({"obj", "other"}, cfg);
+        const auto many_work = work(obs::metrics().snapshot().delta(before));
+        ASSERT_EQ(many.size(), 2u);
+        ASSERT_TRUE(many[0].ok()) << many[0].error;
+        ASSERT_TRUE(many[1].ok()) << many[1].error;
+        EXPECT_EQ(many[0].data, payload);
+        EXPECT_EQ(many[1].data, other);
+
+        if (threads == 1) {
+            serial_get_work = get_work;
+            serial_many_work = many_work;
+            EXPECT_GT(get_work[1], 0u);
+        }
+        EXPECT_EQ(get_work, serial_get_work);
+        EXPECT_EQ(many_work, serial_many_work);
+    }
 }

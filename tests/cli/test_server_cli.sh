@@ -28,6 +28,22 @@ head -c 300 a.full > a.bin
 for _ in $(seq 1 6); do printf 'fedcba9876543210'; done > b.full
 head -c 90 b.full > b.bin
 
+# A negative or malformed count is a usage error (exit 2) caught before
+# the archive is touched, not a wrap round to SIZE_MAX.
+for bad in "--threads -1" "--max-inflight -1" "--threads 4x"; do
+    status=0
+    # shellcheck disable=SC2086 # $bad is a flag and its value
+    "$daemon" --dir "$work/bad" --create $bad > bad.log 2>&1 || status=$?
+    [ "$status" -eq 2 ] || fail "dnastored $bad: exit $status, want 2"
+    grep -q 'usage: dnastored' bad.log || fail "dnastored $bad: no usage"
+    [ ! -e "$work/bad" ] || fail "dnastored $bad created the archive"
+done
+status=0
+"$bin" pipeline --in a.bin --out bad.out --threads -1 > bad.log 2>&1 \
+    || status=$?
+[ "$status" -eq 2 ] || fail "dnastore pipeline --threads -1: exit $status"
+grep -q 'non-negative count' bad.log || fail "no count message: $(cat bad.log)"
+
 arch="$work/tube"
 "$daemon" --dir "$arch" --create --port 0 --port-file port.txt \
     --metrics-json report.json --threads 2 \

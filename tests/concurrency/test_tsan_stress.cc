@@ -4,7 +4,8 @@
  * purpose is a ThreadSanitizer-instrumented build
  * (-DDNASTORE_SANITIZE=thread), where they drive the three concurrent
  * surfaces of the toolkit hard enough for TSan to observe every
- * happens-before edge: ThreadPool::parallelChunks/submit, the
+ * happens-before edge: the shared executor (parallelChunks) and
+ * ThreadPool::submit, the
  * Rashtchian clusterer's parallel signature + bucket-merge path, and
  * multiple Pipeline::run instances sharing const modules.
  */
@@ -35,12 +36,11 @@ namespace
 
 TEST(TsanStress, ParallelChunksAccumulate)
 {
-    ThreadPool pool(4);
     constexpr std::size_t kItems = 200000;
     constexpr int kRounds = 5;
     for (int round = 0; round < kRounds; ++round) {
         std::atomic<std::uint64_t> sum{0};
-        pool.parallelChunks(0, kItems, [&](std::size_t lo, std::size_t hi) {
+        parallelChunks(4, 0, kItems, [&](std::size_t lo, std::size_t hi) {
             std::uint64_t local = 0;
             for (std::size_t i = lo; i < hi; ++i)
                 local += i;
@@ -53,13 +53,40 @@ TEST(TsanStress, ParallelChunksAccumulate)
 
 TEST(TsanStress, ParallelForWritesDisjointSlots)
 {
-    ThreadPool pool(4);
     std::vector<std::uint32_t> out(50000, 0);
-    pool.parallelFor(0, out.size(), [&](std::size_t i) {
+    parallelFor(4, 0, out.size(), [&](std::size_t i) {
         out[i] = static_cast<std::uint32_t>(i * 2654435761u);
     });
     for (std::size_t i = 0; i < out.size(); i += 4999)
         EXPECT_EQ(out[i], static_cast<std::uint32_t>(i * 2654435761u));
+}
+
+TEST(TsanStress, NestedLoopsFromConcurrentCallers)
+{
+    // Four external threads share the executor, and every outer item
+    // opens an inner loop: helpers join loops, close races with late
+    // helpers, and error slots are read after the join.
+    constexpr std::size_t kOuter = 24;
+    constexpr std::size_t kInner = 48;
+    std::vector<std::uint64_t> sums(4, 0);
+    std::vector<std::thread> callers;
+    for (std::size_t t = 0; t < sums.size(); ++t) {
+        callers.emplace_back([&sums, t] {
+            std::vector<std::uint64_t> cells(kOuter * kInner, 0);
+            parallelFor(4, 0, kOuter, [&](std::size_t i) {
+                parallelFor(3, 0, kInner, [&](std::size_t j) {
+                    cells[i * kInner + j] = i * kInner + j;
+                });
+            });
+            sums[t] = std::accumulate(cells.begin(), cells.end(),
+                                      std::uint64_t{0});
+        });
+    }
+    for (std::thread &caller : callers)
+        caller.join();
+    const std::uint64_t n = kOuter * kInner;
+    for (const std::uint64_t sum : sums)
+        EXPECT_EQ(sum, n * (n - 1) / 2);
 }
 
 TEST(TsanStress, ConcurrentExternalSubmitters)

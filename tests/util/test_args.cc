@@ -59,9 +59,24 @@ TEST(ArgParser, Defaults)
 
 TEST(ArgParser, MalformedNumberThrows)
 {
-    const auto args = parse({"--n=abc"});
+    const auto args = parse({"--n=abc", "--t=4x", "--r=0.5x", "--e="});
     EXPECT_THROW(args.getInt("n", 0), std::invalid_argument);
     EXPECT_THROW(args.getDouble("n", 0), std::invalid_argument);
+    // Trailing garbage is malformed, not a number followed by noise.
+    EXPECT_THROW(args.getInt("t", 0), std::invalid_argument);
+    EXPECT_THROW(args.getCount("t", 0), std::invalid_argument);
+    EXPECT_THROW(args.getDouble("r", 0), std::invalid_argument);
+    EXPECT_THROW(args.getInt("e", 0), std::invalid_argument);
+}
+
+TEST(ArgParser, CountRejectsNegativeValues)
+{
+    const auto args = parse({"--threads=-1", "--batch=3", "--zero=0"});
+    EXPECT_THROW(args.getCount("threads", 1), std::invalid_argument);
+    EXPECT_EQ(args.getCount("batch", 1), 3u);
+    EXPECT_EQ(args.getCount("zero", 1), 0u);
+    EXPECT_EQ(args.getCount("missing", 7), 7u);
+    EXPECT_EQ(args.getInt("threads", 1), -1);
 }
 
 TEST(ArgParser, DoubleParsing)

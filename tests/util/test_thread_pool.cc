@@ -1,6 +1,7 @@
 /**
  * @file
- * Tests for the worker thread pool.
+ * Tests for the worker thread pool and the shared executor behind the
+ * free parallelFor/parallelChunks.
  */
 
 #include <gtest/gtest.h>
@@ -9,12 +10,18 @@
 #include <chrono>
 #include <future>
 #include <numeric>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <vector>
+
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include "obs/metrics.hh"
 #include "obs/stage_tag.hh"
+#include "util/sync.hh"
 #include "util/thread_pool.hh"
 
 namespace dnastore
@@ -42,30 +49,27 @@ TEST(ThreadPool, SubmitPropagatesExceptions)
 
 TEST(ThreadPool, ParallelForCoversRange)
 {
-    ThreadPool pool(4);
     std::vector<std::atomic<int>> hits(1000);
-    pool.parallelFor(0, hits.size(),
-                     [&](std::size_t i) { hits[i].fetch_add(1); });
+    parallelFor(4, 0, hits.size(),
+                [&](std::size_t i) { hits[i].fetch_add(1); });
     for (auto &h : hits)
         EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPool, ParallelForEmptyRangeIsNoop)
 {
-    ThreadPool pool(2);
     bool touched = false;
-    pool.parallelFor(5, 5, [&](std::size_t) { touched = true; });
+    parallelFor(2, 5, 5, [&](std::size_t) { touched = true; });
     EXPECT_FALSE(touched);
 }
 
 TEST(ThreadPool, ParallelForPropagatesException)
 {
-    ThreadPool pool(2);
-    EXPECT_THROW(pool.parallelFor(0, 100,
-                                  [](std::size_t i) {
-                                      if (i == 57)
-                                          throw std::logic_error("57");
-                                  }),
+    EXPECT_THROW(parallelFor(2, 0, 100,
+                             [](std::size_t i) {
+                                 if (i == 57)
+                                     throw std::logic_error("57");
+                             }),
                  std::logic_error);
 }
 
@@ -73,9 +77,8 @@ TEST(ThreadPool, SingleChunkFailureKeepsOriginalExceptionType)
 {
     // One failing chunk must rethrow the original exception unchanged,
     // not wrap it.
-    ThreadPool pool(4);
     try {
-        pool.parallelFor(0, 64, [](std::size_t i) {
+        parallelFor(4, 0, 64, [](std::size_t i) {
             if (i == 3) // all failures inside one chunk
                 throw std::out_of_range("only-me");
         });
@@ -90,9 +93,9 @@ TEST(ThreadPool, AggregatesAllWorkerExceptions)
     // Regression: only the first worker exception used to surface; the
     // rest vanished.  With every chunk failing, the aggregate must
     // report each one.
-    ThreadPool pool(2); // 64 items -> min(64, 2*4) = 8 chunks of 8
     try {
-        pool.parallelChunks(0, 64, [](std::size_t lo, std::size_t) {
+        // 64 items on 2 threads -> min(64, 2*4) = 8 chunks of 8.
+        parallelChunks(2, 0, 64, [](std::size_t lo, std::size_t) {
             throw std::runtime_error("chunk@" + std::to_string(lo));
         });
         FAIL() << "expected a ParallelError";
@@ -112,10 +115,9 @@ TEST(ThreadPool, AggregatesAllWorkerExceptions)
 
 TEST(ThreadPool, AggregatesMixedSuccessAndFailure)
 {
-    ThreadPool pool(2);
     std::atomic<std::size_t> completed{0};
     try {
-        pool.parallelChunks(0, 64, [&](std::size_t lo, std::size_t hi) {
+        parallelChunks(2, 0, 64, [&](std::size_t lo, std::size_t hi) {
             if (lo == 8 || lo == 40)
                 throw std::runtime_error("bad@" + std::to_string(lo));
             completed.fetch_add(hi - lo);
@@ -130,9 +132,8 @@ TEST(ThreadPool, AggregatesMixedSuccessAndFailure)
 
 TEST(ThreadPool, ParallelChunksCoversRangeOnce)
 {
-    ThreadPool pool(3);
     std::atomic<std::size_t> total{0};
-    pool.parallelChunks(10, 250, [&](std::size_t lo, std::size_t hi) {
+    parallelChunks(3, 10, 250, [&](std::size_t lo, std::size_t hi) {
         EXPECT_LE(lo, hi);
         total.fetch_add(hi - lo);
     });
@@ -158,7 +159,11 @@ TEST(ThreadPool, PublishesQueueWaitAndBusyAccounting)
     const obs::MetricsSnapshot before = obs::metrics().snapshot();
     {
         ThreadPool pool(2);
-        pool.parallelFor(0, 64, [](std::size_t) {});
+        std::vector<std::future<void>> empty_tasks;
+        for (int i = 0; i < 64; ++i)
+            empty_tasks.push_back(pool.submit([] {}));
+        for (auto &task : empty_tasks)
+            task.get();
         // One task with measurable wall time so busy_micros must move.
         pool.submit([] {
               std::this_thread::sleep_for(std::chrono::milliseconds(10));
@@ -216,6 +221,148 @@ TEST(ThreadPool, PropagatesSubmitterStageTagIntoWorkers)
                   })
                   .get(),
               "");
+}
+
+/**
+ * Occupies every worker of the shared pool until release(); the
+ * constructor returns once all of them are inside a blocking task, so
+ * every task queued before it has been dequeued and counted.
+ */
+class SaturatedSharedPool
+{
+  public:
+    SaturatedSharedPool()
+    {
+        ThreadPool &pool = sharedThreadPool();
+        for (std::size_t w = 0; w < pool.size(); ++w) {
+            blockers_.push_back(pool.submit([this] {
+                started_.fetch_add(1);
+                gate_.wait();
+            }));
+        }
+        while (started_.load() < pool.size())
+            std::this_thread::yield();
+    }
+
+    SaturatedSharedPool(const SaturatedSharedPool &) = delete;
+    SaturatedSharedPool &operator=(const SaturatedSharedPool &) = delete;
+
+    ~SaturatedSharedPool() { release(); }
+
+    void
+    release()
+    {
+        if (released_)
+            return;
+        released_ = true;
+        open_.set_value();
+        for (auto &blocker : blockers_)
+            blocker.get();
+    }
+
+  private:
+    std::promise<void> open_;
+    std::shared_future<void> gate_ = open_.get_future().share();
+    std::atomic<std::size_t> started_{0};
+    std::vector<std::future<void>> blockers_;
+    bool released_ = false;
+};
+
+std::uint64_t
+sharedTasksTotal()
+{
+    return obs::metrics().counter("util.thread_pool.tasks_total").value();
+}
+
+TEST(SharedThreadPool, SizedFromHostLeavingTheCallerACore)
+{
+    const unsigned cores = std::thread::hardware_concurrency();
+    EXPECT_EQ(sharedThreadPool().size(), cores > 2 ? cores - 1 : 1u);
+    EXPECT_EQ(&sharedThreadPool(), &sharedThreadPool());
+}
+
+TEST(SharedThreadPool, SingleThreadLoopRunsOnCallerAndSubmitsNoTask)
+{
+    // Settle the pool first so no earlier task lands in the window.
+    SaturatedSharedPool settle;
+    settle.release();
+    const std::uint64_t before = sharedTasksTotal();
+
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<std::thread::id> ran_on(100);
+    parallelFor(1, 0, ran_on.size(), [&](std::size_t i) {
+        ran_on[i] = std::this_thread::get_id();
+    });
+    // A single item runs inline whatever the thread budget.
+    std::thread::id single;
+    parallelFor(8, 41, 42,
+                [&](std::size_t) { single = std::this_thread::get_id(); });
+
+    EXPECT_EQ(sharedTasksTotal() - before, 0u);
+    for (const std::thread::id &id : ran_on)
+        EXPECT_EQ(id, caller);
+    EXPECT_EQ(single, caller);
+}
+
+TEST(SharedThreadPool, NumThreadsCapsThreadsIncludingCaller)
+{
+    Mutex mutex{"test.thread_ids"};
+    std::set<std::thread::id> ids;
+    parallelFor(2, 0, 400, [&](std::size_t) {
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+        MutexLock lock(mutex);
+        ids.insert(std::this_thread::get_id());
+    });
+    MutexLock lock(mutex);
+    EXPECT_GE(ids.size(), 1u);
+    EXPECT_LE(ids.size(), 2u);
+}
+
+TEST(SharedThreadPool, NestedLoopsCompleteWhilePoolSaturated)
+{
+    // Every worker is blocked, so no helper can start: the callers must
+    // run every chunk of the outer and the inner loops themselves.
+    SaturatedSharedPool saturated;
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<std::atomic<int>> hits(16 * 16);
+    std::atomic<int> off_caller{0};
+    parallelFor(4, 0, 16, [&](std::size_t i) {
+        parallelFor(4, 0, 16, [&](std::size_t j) {
+            hits[i * 16 + j].fetch_add(1);
+            if (std::this_thread::get_id() != caller)
+                off_caller.fetch_add(1);
+        });
+    });
+    saturated.release();
+    for (auto &hit : hits)
+        EXPECT_EQ(hit.load(), 1);
+    EXPECT_EQ(off_caller.load(), 0);
+}
+
+TEST(SharedThreadPool, ForkedChildRunsLoopsAfterParentUsedPool)
+{
+    std::atomic<std::uint64_t> parent_sum{0};
+    parallelFor(4, 0, 1000, [&](std::size_t i) { parent_sum.fetch_add(i); });
+    ASSERT_EQ(parent_sum.load(), 999u * 1000u / 2u);
+
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        // The pool's workers did not survive the fork; a hang here
+        // would be killed by the alarm and fail the exit-code check.
+        ::alarm(30);
+        std::atomic<std::uint64_t> sum{0};
+        parallelFor(4, 0, 1000, [&](std::size_t i) { sum.fetch_add(i); });
+        parallelChunks(4, 0, 1000, [&](std::size_t lo, std::size_t hi) {
+            for (std::size_t i = lo; i < hi; ++i)
+                sum.fetch_add(i);
+        });
+        ::_exit(sum.load() == 999u * 1000u ? 0 : 1);
+    }
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status)) << "child did not exit normally";
+    EXPECT_EQ(WEXITSTATUS(status), 0);
 }
 
 #if defined(DNASTORE_ENABLE_DCHECKS)

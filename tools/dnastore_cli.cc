@@ -64,11 +64,10 @@ MatrixCodecConfig
 codecConfig(const ArgParser &args)
 {
     MatrixCodecConfig cfg;
-    cfg.payload_nt =
-        static_cast<std::size_t>(args.getInt("payload-nt", 120));
-    cfg.index_nt = static_cast<std::size_t>(args.getInt("index-nt", 12));
-    cfg.rs_n = static_cast<std::size_t>(args.getInt("rs-n", 60));
-    cfg.rs_k = static_cast<std::size_t>(args.getInt("rs-k", 40));
+    cfg.payload_nt = args.getCount("payload-nt", 120);
+    cfg.index_nt = args.getCount("index-nt", 12);
+    cfg.rs_n = args.getCount("rs-n", 60);
+    cfg.rs_k = args.getCount("rs-k", 40);
     const std::string scheme = args.get("scheme", "baseline");
     if (scheme == "gini")
         cfg.scheme = LayoutScheme::Gini;
@@ -104,16 +103,13 @@ RashtchianClustererConfig
 clustererConfig(const ArgParser &args)
 {
     auto cfg = RashtchianClustererConfig::forErrorRate(
-        args.getDouble("error-rate", 0.06),
-        static_cast<std::size_t>(args.getInt("read-len", 132)));
+        args.getDouble("error-rate", 0.06), args.getCount("read-len", 132));
     if (args.get("signature", "q") == "w")
         cfg.signature = SignatureKind::WGram;
     if (args.has("edit-threshold")) {
-        cfg.edit_threshold =
-            static_cast<std::size_t>(args.getInt("edit-threshold", 25));
+        cfg.edit_threshold = args.getCount("edit-threshold", 25);
     }
-    cfg.num_threads =
-        static_cast<std::size_t>(args.getInt("threads", 1));
+    cfg.num_threads = args.getCount("threads", 1);
     cfg.seed = static_cast<std::uint64_t>(args.getInt("seed", 42));
     return cfg;
 }
@@ -198,8 +194,7 @@ cmdCluster(const ArgParser &args)
     const auto clustering = clusterer.cluster(reads);
     std::vector<std::vector<Strand>> groups;
     groups.reserve(clustering.clusters.size());
-    const std::size_t min_size =
-        static_cast<std::size_t>(args.getInt("min-cluster-size", 1));
+    const std::size_t min_size = args.getCount("min-cluster-size", 1);
     for (const auto &cluster : clustering.clusters) {
         if (cluster.size() < min_size)
             continue;
@@ -221,14 +216,12 @@ int
 cmdReconstruct(const ArgParser &args)
 {
     const auto clusters = readClusterFile(requireOption(args, "in"));
-    const std::size_t length =
-        static_cast<std::size_t>(args.getInt("length", 0));
+    const std::size_t length = args.getCount("length", 0);
     if (length == 0)
         throw std::invalid_argument("--length (strand length) is required");
     const auto algo = makeReconstructor(args);
-    const auto consensus = reconstructAll(
-        *algo, clusters, length,
-        static_cast<std::size_t>(args.getInt("threads", 1)));
+    const auto consensus = reconstructAll(*algo, clusters, length,
+                                          args.getCount("threads", 1));
     writeStrandFile(requireOption(args, "out"), consensus);
     std::cout << "reconstructed " << consensus.size()
               << " strands with " << algo->name() << "\n";
@@ -240,8 +233,7 @@ cmdDecode(const ArgParser &args)
 {
     const auto strands = readStrandFile(requireOption(args, "in"));
     MatrixDecoder decoder(codecConfig(args));
-    const auto report = decoder.decode(
-        strands, static_cast<std::size_t>(args.getInt("units", 0)));
+    const auto report = decoder.decode(strands, args.getCount("units", 0));
     std::cout << "decode " << (report.ok ? "OK" : "FAILED") << ": "
               << report.data.size() << " bytes, " << report.failed_rows
               << "/" << report.total_rows << " RS rows failed, "
@@ -267,12 +259,9 @@ cmdPipeline(const ArgParser &args)
     cfg.coverage = CoverageModel(args.getDouble("coverage", 10.0),
                                  CoverageDistribution::Poisson);
     cfg.seed = static_cast<std::uint64_t>(args.getInt("seed", 42));
-    cfg.num_threads =
-        static_cast<std::size_t>(args.getInt("threads", 1));
-    cfg.min_cluster_size =
-        static_cast<std::size_t>(args.getInt("min-cluster-size", 2));
-    cfg.max_decode_retries =
-        static_cast<std::size_t>(args.getInt("retries", 0));
+    cfg.num_threads = args.getCount("threads", 1);
+    cfg.min_cluster_size = args.getCount("min-cluster-size", 2);
+    cfg.max_decode_retries = args.getCount("retries", 0);
 
     PipelineModules mods;
     mods.encoder = &encoder;
@@ -387,9 +376,8 @@ retrievalConfig(const ArgParser &args)
     cfg.coverage = args.getDouble("coverage", cfg.coverage);
     cfg.seed = static_cast<std::uint64_t>(
         args.getInt("seed", static_cast<std::int64_t>(cfg.seed)));
-    cfg.num_threads = static_cast<std::size_t>(args.getInt("threads", 1));
-    cfg.max_decode_retries =
-        static_cast<std::size_t>(args.getInt("retries", 1));
+    cfg.num_threads = args.getCount("threads", 1);
+    cfg.max_decode_retries = args.getCount("retries", 1);
     return cfg;
 }
 
@@ -403,9 +391,8 @@ openArchive(const ArgParser &args, bool create_if_missing)
         create_if_missing) {
         archive::ArchiveParams params;
         params.codec = codecConfig(args);
-        params.max_shard_bytes = static_cast<std::uint64_t>(
-            args.getInt("max-shard-bytes",
-                        static_cast<std::int64_t>(params.max_shard_bytes)));
+        params.max_shard_bytes =
+            args.getCount("max-shard-bytes", params.max_shard_bytes);
         return archive::Archive::create(dir, params);
     }
     return opened;
@@ -421,8 +408,7 @@ cmdArchivePut(const ArgParser &args)
     }
     const auto data = readBinaryFile(requireOption(args, "in"));
     const auto result = opened.archive->put(
-        requireOption(args, "name"), data,
-        static_cast<std::size_t>(args.getInt("threads", 1)));
+        requireOption(args, "name"), data, args.getCount("threads", 1));
     if (!result.ok()) {
         std::cerr << "dnastore archive put: " << result.error << "\n";
         return 1;

@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <iostream>
 #include <map>
+#include <stdexcept>
 #include <string>
 
 #include <unistd.h>
@@ -75,11 +76,24 @@ retrievalConfig(const ArgParser &args)
         args.getInt("seed", static_cast<std::int64_t>(cfg.seed)));
     // Per-request decode parallelism; scheduler-level batches already
     // run concurrently, so the default keeps each shard decode serial.
-    cfg.num_threads =
-        static_cast<std::size_t>(args.getInt("decode-threads", 1));
-    cfg.max_decode_retries =
-        static_cast<std::size_t>(args.getInt("retries", 1));
+    cfg.num_threads = args.getCount("decode-threads", 1);
+    cfg.max_decode_retries = args.getCount("retries", 1);
     return cfg;
+}
+
+/** Daemon knobs; throws std::invalid_argument on a malformed flag. */
+server::ServerConfig
+serverConfig(const ArgParser &args)
+{
+    server::ServerConfig config;
+    config.port = static_cast<std::uint16_t>(args.getInt("port", 0));
+    config.scheduler.num_threads = args.getCount("threads", 0);
+    config.scheduler.max_inflight = args.getCount("max-inflight", 64);
+    config.scheduler.per_client_inflight =
+        args.getCount("per-client-inflight", 8);
+    config.scheduler.batch_max = args.getCount("batch-max", 4);
+    config.scheduler.max_concurrent_batches = args.getCount("max-batches", 2);
+    return config;
 }
 
 int
@@ -108,6 +122,15 @@ main(int argc, char **argv)
     const std::string dir = args.get("dir", "");
     if (dir.empty())
         return usage();
+    server::ServerConfig config;
+    archive::RetrievalConfig retrieval;
+    try {
+        config = serverConfig(args);
+        retrieval = retrievalConfig(args);
+    } catch (const std::invalid_argument &error) {
+        std::cerr << "dnastored: " << error.what() << "\n";
+        return usage();
+    }
 
     archive::OpenResult opened = archive::Archive::open(dir);
     if (opened.status == archive::ArchiveStatus::NotFound &&
@@ -119,21 +142,7 @@ main(int argc, char **argv)
         return 1;
     }
 
-    server::ServerConfig config;
-    config.port = static_cast<std::uint16_t>(args.getInt("port", 0));
-    config.scheduler.num_threads =
-        static_cast<std::size_t>(args.getInt("threads", 0));
-    config.scheduler.max_inflight =
-        static_cast<std::size_t>(args.getInt("max-inflight", 64));
-    config.scheduler.per_client_inflight = static_cast<std::size_t>(
-        args.getInt("per-client-inflight", 8));
-    config.scheduler.batch_max =
-        static_cast<std::size_t>(args.getInt("batch-max", 4));
-    config.scheduler.max_concurrent_batches =
-        static_cast<std::size_t>(args.getInt("max-batches", 2));
-
-    server::ArchiveBackend backend(*opened.archive,
-                                   retrievalConfig(args),
+    server::ArchiveBackend backend(*opened.archive, retrieval,
                                    config.scheduler.num_threads);
     server::Server server(backend, config);
     const obs::MetricsSnapshot before = obs::metrics().snapshot();
