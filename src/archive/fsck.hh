@@ -18,7 +18,7 @@
  * writer), like any filesystem fsck.
  *
  * Findings are also emitted as a schema-versioned JSON document
- * (`dnastore.fsck_report`, validated by tools/check_obs_json.py) so the
+ * (`dnastore.fsck_report`, validated by `dnastore report check`) so the
  * chaos harness and CI can assert on them mechanically.
  */
 

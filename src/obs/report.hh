@@ -33,7 +33,7 @@ namespace dnastore::obs
  *       run reports gain "contention" and "alloc" sections, the thread
  *       pool publishes queue-wait/busy/idle/utilization metrics.
  *
- * Consumers (tools/check_obs_json.py, `dnastore report diff`) accept
+ * Consumers (`dnastore report check`, `dnastore report diff`) accept
  * both versions; on-disk archive manifests version independently
  * (archive::kManifestSchemaVersion) so bumping this never invalidates
  * stored archives.

@@ -149,8 +149,7 @@ class Server
 /**
  * Canonical server run report (schema `dnastore.server_report`):
  * lifetime counters, free-form info strings (port, config, uptime) and
- * the server's metrics delta.  Validated by
- * `tools/check_obs_json.py --server`.
+ * the server's metrics delta.  Validated by `dnastore report check`.
  */
 [[nodiscard]] std::string
 serverReportJson(const SchedulerCounters &counters,

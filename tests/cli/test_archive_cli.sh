@@ -34,6 +34,16 @@ arch="$work/tube"
 "$bin" archive put --dir "$arch" --name beta --in b.bin --threads 2 \
     || fail "put beta"
 
+# The manifest validates; a copy with one payload byte changed fails its
+# CRC and exits 1.
+"$bin" report check "$arch/manifest.json" || fail "manifest invalid"
+sed 's/"name":"alpha"/"name":"alphb"/' "$arch/manifest.json" > tampered.json
+cmp -s "$arch/manifest.json" tampered.json && fail "tamper missed"
+status=0
+"$bin" report check tampered.json 2> check.log || status=$?
+[ "$status" -eq 1 ] || fail "tampered manifest: exit $status, want 1"
+grep -q 'CRC mismatch' check.log || fail "no CRC message: $(cat check.log)"
+
 # ls and stat report both objects with their exact sizes.
 ls_out="$("$bin" archive ls --dir "$arch")"
 grep -q 'alpha' <<< "$ls_out" || fail "ls missing alpha"
@@ -57,14 +67,14 @@ cmp -s b.bin out_b.bin || fail "beta round trip not byte-exact"
 # (healthy, exit 0), swept by --repair, and the rescan is clean again.
 fsck_out="$("$bin" archive fsck --dir "$arch" --json fsck.json)"
 grep -q 'clean' <<< "$fsck_out" || fail "fsck not clean"
-grep -q '"schema":"dnastore.fsck_report"' fsck.json \
-    || fail "fsck JSON schema marker missing"
+"$bin" report check fsck.json || fail "fsck report invalid"
 
 touch "$arch/manifest.json.tmp.123.7"
 fsck_out="$("$bin" archive fsck --dir "$arch")"
 grep -q 'stale_temp_file' <<< "$fsck_out" || fail "stale temp not found"
-"$bin" archive fsck --dir "$arch" --repair > /dev/null \
+"$bin" archive fsck --dir "$arch" --repair --json repair.json > /dev/null \
     || fail "fsck --repair"
+"$bin" report check repair.json || fail "fsck repair report invalid"
 [ ! -e "$arch/manifest.json.tmp.123.7" ] || fail "stale temp not swept"
 fsck_out="$("$bin" archive fsck --dir "$arch")"
 grep -q 'clean' <<< "$fsck_out" || fail "fsck not clean after repair"

@@ -38,6 +38,28 @@ for bad in "--threads -1" "--max-inflight -1" "--threads 4x"; do
     grep -q 'usage: dnastored' bad.log || fail "dnastored $bad: no usage"
     [ ! -e "$work/bad" ] || fail "dnastored $bad created the archive"
 done
+# Ports and timeouts outside their range are usage errors too, not a
+# silent wrap (70000 would listen on 4464, 65537 would dial port 1).
+# `timeout` turns a daemon that wrongly starts serving into a failure
+# instead of a hang.
+for bad in "--port 70000" "--port 65536" "--port -1"; do
+    status=0
+    # shellcheck disable=SC2086 # $bad is a flag and its value
+    timeout 20 "$daemon" --dir "$work/bad" --create $bad > bad.log 2>&1 \
+        || status=$?
+    [ "$status" -eq 2 ] || fail "dnastored $bad: exit $status, want 2"
+    grep -q 'usage: dnastored' bad.log || fail "dnastored $bad: no usage"
+    grep -q 'listening' bad.log && fail "dnastored $bad bound a port"
+    [ ! -e "$work/bad" ] || fail "dnastored $bad created the archive"
+done
+for bad in "--port 0" "--port 65536" "--port 65537" \
+    "--port 1 --timeout-ms -1" "--port 1 --timeout-ms 2147483648"; do
+    status=0
+    # shellcheck disable=SC2086 # $bad is flags and their values
+    "$bin" client ping $bad > bad.log 2>&1 || status=$?
+    [ "$status" -eq 2 ] || fail "client $bad: exit $status, want 2"
+    grep -q 'usage: dnastore client' bad.log || fail "client $bad: no usage"
+done
 status=0
 "$bin" pipeline --in a.bin --out bad.out --threads -1 > bad.log 2>&1 \
     || status=$?
@@ -89,9 +111,8 @@ grep -q 'drained:' daemon.log || fail "no drain summary in daemon log"
 # The archive the daemon wrote is consistent on disk...
 "$bin" archive fsck --dir "$arch" | grep -q 'clean' \
     || fail "archive not clean after drain"
-# ...and the server report is the canonical schema with real traffic.
-grep -q '"schema":"dnastore.server_report"' report.json \
-    || fail "server report schema marker missing"
-grep -q '"requests"' report.json || fail "server report counters missing"
+# ...and the server report validates, with real traffic in it.
+"$bin" report check report.json || fail "server report invalid"
+grep -q '"requests":[1-9]' report.json || fail "server report saw no requests"
 
 echo "cli_server_e2e OK"

@@ -30,8 +30,10 @@
 
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "archive/archive.hh"
@@ -53,6 +55,7 @@
 #include "simulator/virtual_wetlab.hh"
 #include "util/args.hh"
 
+#include "cli_args.hh"
 #include "report_diff.hh"
 
 using namespace dnastore;
@@ -591,14 +594,20 @@ cmdClient(int argc, char **argv)
     }
     const std::string verb = argv[2];
     const ArgParser args(argc - 2, argv + 2);
-    const std::uint16_t port =
-        static_cast<std::uint16_t>(args.getInt("port", 0));
-    if (port == 0) {
-        std::cerr << "dnastore client: --port is required\n";
+    std::uint16_t port = 0;
+    int timeout_ms = 0;
+    try {
+        if (!args.has("port"))
+            throw std::invalid_argument("--port is required");
+        port = static_cast<std::uint16_t>(
+            tools::getIntInRange(args, "port", 0, 1, 65535));
+        timeout_ms = static_cast<int>(tools::getIntInRange(
+            args, "timeout-ms", 30000, 0, std::numeric_limits<int>::max()));
+    } catch (const std::invalid_argument &error) {
+        std::cerr << "dnastore client: " << error.what() << "\n";
+        clientUsage();
         return 2;
     }
-    const int timeout_ms =
-        static_cast<int>(args.getInt("timeout-ms", 30000));
 
     server::Client client;
     if (!client.connectTo(port, timeout_ms)) {
@@ -704,6 +713,8 @@ usage()
            "(ping/put/get/ls/stat, see 'dnastore client')\n"
            "  report      diff two report/bench JSONs "
            "(perf-regression gate, see 'dnastore report diff')\n"
+           "              or check documents against their writers "
+           "('dnastore report check FILE...')\n"
            "observability (pipeline): --metrics-json PATH writes the run\n"
            "report JSON; --trace-json PATH writes a Chrome trace\n";
 }

@@ -39,6 +39,8 @@
 #include "server/server.hh"
 #include "util/args.hh"
 
+#include "cli_args.hh"
+
 using namespace dnastore;
 
 namespace
@@ -86,7 +88,8 @@ server::ServerConfig
 serverConfig(const ArgParser &args)
 {
     server::ServerConfig config;
-    config.port = static_cast<std::uint16_t>(args.getInt("port", 0));
+    config.port = static_cast<std::uint16_t>(
+        tools::getIntInRange(args, "port", 0, 0, 65535));
     config.scheduler.num_threads = args.getCount("threads", 0);
     config.scheduler.max_inflight = args.getCount("max-inflight", 64);
     config.scheduler.per_client_inflight =

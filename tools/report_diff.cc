@@ -1,8 +1,9 @@
 #include "report_diff.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "archive/json_reader.hh"
+#include "report_check.hh"
 
 namespace dnastore::tools
 {
@@ -439,6 +441,50 @@ reportDiff(const std::string &baseline_path,
     return regressions == 0 ? 0 : 1;
 }
 
+namespace
+{
+
+/** Validate each file; the exit code is the worst verdict (0/1/2). */
+int
+reportCheck(const std::vector<std::string> &paths)
+{
+    int worst = 0;
+    for (const std::string &path : paths) {
+        const auto text = readWholeFile(path);
+        if (!text.has_value()) {
+            std::cerr << "report check: cannot read " << path << "\n";
+            worst = 2;
+            continue;
+        }
+        const ReportCheck verdict = checkReport(*text);
+        if (verdict.error.empty()) {
+            std::cout << "report check: " << path << ": OK ("
+                      << verdict.kind << ")\n";
+            continue;
+        }
+        std::cerr << "report check: " << path << ": INVALID: "
+                  << verdict.error << "\n";
+        worst = std::max(worst, 1);
+    }
+    return worst;
+}
+
+/** A finite, non-negative number spanning all of @p text. */
+bool
+parseSlack(const char *text, double &slot)
+{
+    const char *end = text + std::strlen(text);
+    double value = 0.0;
+    const auto [stop, error] = std::from_chars(text, end, value);
+    if (error != std::errc() || stop != end || !std::isfinite(value) ||
+        value < 0.0)
+        return false;
+    slot = value;
+    return true;
+}
+
+} // namespace
+
 int
 cmdReport(int argc, char **argv)
 {
@@ -447,46 +493,41 @@ cmdReport(int argc, char **argv)
             << "usage: dnastore report diff <baseline.json> "
                "<current.json>\n"
                "           [--tolerance-pct N] [--abs-floor N] "
-               "[--markdown FILE]\n";
+               "[--markdown FILE]\n"
+               "       dnastore report check FILE...\n";
         return 2;
     };
     if (argc < 3)
         return usage();
     const std::string verb = argv[2];
-    if (verb != "diff")
+    if (verb != "diff" && verb != "check")
         return usage();
 
     ReportDiffOptions options;
     std::vector<std::string> paths;
     for (int i = 3; i < argc; ++i) {
         const std::string arg = argv[i];
-        const auto numberArg = [&](double &slot) -> bool {
-            if (i + 1 >= argc)
-                return false;
-            char *end = nullptr;
-            const double parsed = std::strtod(argv[++i], &end);
-            if (end == nullptr || *end != '\0')
-                return false;
-            slot = parsed;
-            return true;
-        };
-        if (arg == "--tolerance-pct") {
-            if (!numberArg(options.tolerance_pct))
-                return usage();
-        } else if (arg == "--abs-floor") {
-            if (!numberArg(options.abs_floor))
-                return usage();
-        } else if (arg == "--markdown") {
+        if (verb == "diff" && (arg == "--tolerance-pct" ||
+                               arg == "--abs-floor" || arg == "--markdown")) {
             if (i + 1 >= argc)
                 return usage();
-            options.markdown_path = argv[++i];
+            const char *value = argv[++i];
+            if (arg == "--markdown")
+                options.markdown_path = value;
+            else if (!parseSlack(value, arg == "--abs-floor"
+                                            ? options.abs_floor
+                                            : options.tolerance_pct))
+                return usage();
         } else if (!arg.empty() && arg[0] == '-') {
-            std::cerr << "report diff: unknown flag " << arg << "\n";
+            std::cerr << "report " << verb << ": unknown flag " << arg
+                      << "\n";
             return usage();
         } else {
             paths.push_back(arg);
         }
     }
+    if (verb == "check")
+        return paths.empty() ? usage() : reportCheck(paths);
     if (paths.size() != 2)
         return usage();
     return reportDiff(paths[0], paths[1], options);

@@ -2,10 +2,11 @@
  * @file
  * `dnastore report diff <baseline.json> <current.json>` — the perf
  * regression gate.  Compares two documents of the same schema
- * (dnastore.run_report, dnastore.bench_table3 or
- * dnastore.bench_archive_throughput), extracts the comparable
- * performance series (per-stage seconds, per-mode get seconds, the
- * archive speedup), and flags regressions beyond a tolerance.
+ * (dnastore.run_report, dnastore.bench_table3,
+ * dnastore.bench_archive_throughput or dnastore.bench_server_load),
+ * extracts the comparable performance series (per-stage seconds,
+ * per-mode get seconds, the archive speedup, client latency and
+ * throughput), and flags regressions beyond a tolerance.
  *
  * A latency row regresses when current - baseline exceeds BOTH the
  * relative slack (baseline * tolerance_pct / 100) and the absolute
@@ -16,7 +17,8 @@
  * diffable against v2 output.
  *
  * Exit codes: 0 = within tolerance, 1 = regression, 2 = usage/parse
- * error.  --markdown additionally writes an attribution report (the
+ * error (including a negative or non-finite --tolerance-pct or
+ * --abs-floor).  --markdown additionally writes an attribution report (the
  * row table plus the current document's attribution section — worker
  * busy fraction, queue-wait percentiles — when present).
  */
@@ -28,7 +30,10 @@
 namespace dnastore::tools
 {
 
-/** Knobs for one diff run (defaults match the CI gate). */
+/**
+ * Knobs for one diff run.  The defaults suit one quiet machine; CI's
+ * noisy shared runners pass --tolerance-pct 150 --abs-floor 0.5.
+ */
 struct ReportDiffOptions
 {
     double tolerance_pct = 25.0;  //!< Relative slack per row.
@@ -44,7 +49,7 @@ struct ReportDiffOptions
                              const std::string &current_path,
                              const ReportDiffOptions &options);
 
-/** The `dnastore report <verb> ...` CLI entry point (argv[1]=="report"). */
+/** The `dnastore report diff|check` entry point (argv[1]=="report"). */
 [[nodiscard]] int cmdReport(int argc, char **argv);
 
 } // namespace dnastore::tools
