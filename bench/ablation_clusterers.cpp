@@ -27,8 +27,7 @@ int
 main(int argc, char **argv)
 {
     const ArgParser args(argc, argv);
-    const std::size_t num_strands =
-        static_cast<std::size_t>(args.getInt("strands", 1500));
+    const std::size_t num_strands = args.getCount("strands", 1500);
     const double coverage = args.getDouble("coverage", 10.0);
 
     std::cout << "=== Ablation: merge clustering vs single-pass online "

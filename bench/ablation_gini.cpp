@@ -30,8 +30,7 @@ int
 main(int argc, char **argv)
 {
     const ArgParser args(argc, argv);
-    const std::size_t file_bytes =
-        static_cast<std::size_t>(args.getInt("file-bytes", 20000));
+    const std::size_t file_bytes = args.getCount("file-bytes", 20000);
     const double error_rate = args.getDouble("error-rate", 0.06);
     const std::string csv_path = args.get("csv", "");
 
@@ -70,8 +69,7 @@ main(int argc, char **argv)
                 IidChannelConfig::fromTotalErrorRate(error_rate));
             DoubleSidedBmaReconstructor recon;
 
-            const std::size_t seeds =
-                static_cast<std::size_t>(args.getInt("seeds", 3));
+            const std::size_t seeds = args.getCount("seeds", 3);
             double failed = 0;
             std::size_t total_rows = 0, ok_count = 0, dropped = 0;
             for (std::size_t seed = 0; seed < seeds; ++seed) {

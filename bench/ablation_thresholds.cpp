@@ -26,8 +26,7 @@ int
 main(int argc, char **argv)
 {
     const ArgParser args(argc, argv);
-    const std::size_t num_strands =
-        static_cast<std::size_t>(args.getInt("strands", 800));
+    const std::size_t num_strands = args.getCount("strands", 800);
     const double error_rate = args.getDouble("error-rate", 0.09);
     const double coverage = args.getDouble("coverage", 10.0);
 

@@ -98,24 +98,20 @@ main(int argc, char **argv)
 {
     const ArgParser args(argc, argv);
     const bool quick = args.getBool("quick");
-    const std::size_t train_clusters = static_cast<std::size_t>(
-        args.getInt("train-clusters", quick ? 80 : 250));
-    const std::size_t val_clusters = static_cast<std::size_t>(
-        args.getInt("val-clusters", quick ? 10 : 30));
-    const std::size_t test_clusters = static_cast<std::size_t>(
-        args.getInt("test-clusters", quick ? 120 : 400));
+    const std::size_t train_clusters =
+        args.getCount("train-clusters", quick ? 80 : 250);
+    const std::size_t val_clusters =
+        args.getCount("val-clusters", quick ? 10 : 30);
+    const std::size_t test_clusters =
+        args.getCount("test-clusters", quick ? 120 : 400);
     const std::size_t strand_len =
-        static_cast<std::size_t>(args.getInt("strand-len", quick ? 50 : 60));
-    const std::size_t coverage =
-        static_cast<std::size_t>(args.getInt("coverage", 8));
-    const std::size_t train_coverage =
-        static_cast<std::size_t>(args.getInt("train-coverage", 5));
-    const std::size_t epochs =
-        static_cast<std::size_t>(args.getInt("epochs", quick ? 12 : 30));
-    const std::size_t pretrain_epochs = static_cast<std::size_t>(
-        args.getInt("pretrain-epochs", quick ? 4 : 8));
-    const std::size_t hidden =
-        static_cast<std::size_t>(args.getInt("hidden", 32));
+        args.getCount("strand-len", quick ? 50 : 60);
+    const std::size_t coverage = args.getCount("coverage", 8);
+    const std::size_t train_coverage = args.getCount("train-coverage", 5);
+    const std::size_t epochs = args.getCount("epochs", quick ? 12 : 30);
+    const std::size_t pretrain_epochs =
+        args.getCount("pretrain-epochs", quick ? 4 : 8);
+    const std::size_t hidden = args.getCount("hidden", 32);
     const double base_error = args.getDouble("base-error", 0.07);
     const std::string model_cache = args.get("model-cache", "");
     const std::string csv_path = args.get("csv", "");

@@ -41,13 +41,10 @@ int
 main(int argc, char **argv)
 {
     const ArgParser args(argc, argv);
-    const std::size_t num_clusters =
-        static_cast<std::size_t>(args.getInt("clusters", 1500));
-    const std::size_t coverage =
-        static_cast<std::size_t>(args.getInt("coverage", 10));
+    const std::size_t num_clusters = args.getCount("clusters", 1500);
+    const std::size_t coverage = args.getCount("coverage", 10);
     const double error_rate = args.getDouble("error-rate", 0.06);
-    const std::size_t strand_len =
-        static_cast<std::size_t>(args.getInt("strand-len", 120));
+    const std::size_t strand_len = args.getCount("strand-len", 120);
     const std::string channel_name = args.get("channel", "wetlab");
     const std::string csv_path = args.get("csv", "");
 

@@ -34,13 +34,10 @@ int
 main(int argc, char **argv)
 {
     const ArgParser args(argc, argv);
-    const std::size_t num_strands =
-        static_cast<std::size_t>(args.getInt("strands", 1500));
-    const std::size_t runs =
-        static_cast<std::size_t>(args.getInt("runs", 3));
+    const std::size_t num_strands = args.getCount("strands", 1500);
+    const std::size_t runs = args.getCount("runs", 3);
     const double coverage = args.getDouble("coverage", 10.0);
-    const std::size_t strand_len =
-        static_cast<std::size_t>(args.getInt("strand-len", 132));
+    const std::size_t strand_len = args.getCount("strand-len", 132);
     const std::string csv_path = args.get("csv", "");
 
     std::cout << "=== Table II: q-gram vs w-gram clustering ===\n"

@@ -133,8 +133,7 @@ int
 main(int argc, char **argv)
 {
     const ArgParser args(argc, argv);
-    const std::size_t file_bytes =
-        static_cast<std::size_t>(args.getInt("file-bytes", 50000));
+    const std::size_t file_bytes = args.getCount("file-bytes", 50000);
     const std::string csv_path = args.get("csv", "");
     const std::string json_path = args.get("json", "");
     const double error_rate = 0.06;

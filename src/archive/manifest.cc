@@ -191,18 +191,63 @@ parseObjectEntry(const JsonValue &value, ObjectEntry &object,
         error = "object entry lacks a shards array";
         return false;
     }
-    std::uint64_t total = 0;
     for (const JsonValue &item : *items) {
         ShardEntry shard;
         if (!parseShard(item, shard, error))
             return false;
-        total += shard.size_bytes;
         object.shards.push_back(shard);
     }
-    if (total != object.size_bytes) {
-        error = "object '" + object.name +
-                "': shard sizes do not sum to size_bytes";
-        return false;
+    return true;
+}
+
+/**
+ * Cross-field invariants, checked only once the CRC has vouched for the
+ * bytes: corruption is then always reported as a CRC mismatch, and a
+ * hand-edited manifest with a recomputed CRC still gets the structural
+ * reason.
+ */
+bool
+checkCrossFields(const ArchiveManifest &manifest, std::string &error)
+{
+    for (const ObjectEntry &object : manifest.objects) {
+        std::uint64_t total = 0;
+        for (const ShardEntry &shard : object.shards)
+            total += shard.size_bytes;
+        if (total != object.size_bytes) {
+            error = "object '" + object.name +
+                    "': shard sizes do not sum to size_bytes";
+            return false;
+        }
+        if (manifest.findObject(object.name) != &object) {
+            error = "duplicate object name: " + object.name;
+            return false;
+        }
+    }
+
+    // Pair-id guard: loaders size per-pair tables from nextPairId()
+    // (= 1 + totalShards), so every shard's pair id must land in
+    // [1, totalShards] and no two shards may share one — by pigeonhole
+    // the ids are then exactly the contiguous block put() allocates.
+    // A hand-edited manifest with a hole (say one shard at pair 7)
+    // would otherwise index past those tables.
+    std::vector<bool> used(manifest.totalShards() + 1, false);
+    for (const ObjectEntry &object : manifest.objects) {
+        for (const ShardEntry &shard : object.shards) {
+            if (shard.pair_id >= used.size()) {
+                error = "object '" + object.name + "': shard pair_id " +
+                        std::to_string(shard.pair_id) +
+                        " out of range for " +
+                        std::to_string(manifest.totalShards()) +
+                        " shard(s)";
+                return false;
+            }
+            if (used[shard.pair_id]) {
+                error = "primer pair " + std::to_string(shard.pair_id) +
+                        " addresses two shards";
+                return false;
+            }
+            used[shard.pair_id] = true;
+        }
     }
     return true;
 }
@@ -389,38 +434,7 @@ tryParseManifest(std::string_view text)
         ObjectEntry object;
         if (!parseObjectEntry(item, object, result.error))
             return result;
-        if (manifest.findObject(object.name) != nullptr) {
-            result.error = "duplicate object name: " + object.name;
-            return result;
-        }
         manifest.objects.push_back(std::move(object));
-    }
-
-    // Pair-id guard: loaders size per-pair tables from nextPairId()
-    // (= 1 + totalShards), so every shard's pair id must land in
-    // [1, totalShards] and no two shards may share one — by pigeonhole
-    // the ids are then exactly the contiguous block put() allocates.
-    // A hand-edited manifest with a hole (say one shard at pair 7)
-    // would otherwise index past those tables.
-    std::vector<bool> used(manifest.totalShards() + 1, false);
-    for (const ObjectEntry &object : manifest.objects) {
-        for (const ShardEntry &shard : object.shards) {
-            if (shard.pair_id >= used.size()) {
-                result.error =
-                    "object '" + object.name + "': shard pair_id " +
-                    std::to_string(shard.pair_id) +
-                    " out of range for " +
-                    std::to_string(manifest.totalShards()) + " shard(s)";
-                return result;
-            }
-            if (used[shard.pair_id]) {
-                result.error = "primer pair " +
-                               std::to_string(shard.pair_id) +
-                               " addresses two shards";
-                return result;
-            }
-            used[shard.pair_id] = true;
-        }
     }
 
     // CRC guard: the canonical re-serialisation of what we parsed must
@@ -431,6 +445,8 @@ tryParseManifest(std::string_view text)
         result.error = "manifest payload CRC mismatch";
         return result;
     }
+    if (!checkCrossFields(manifest, result.error))
+        return result;
     result.manifest = std::move(manifest);
     return result;
 }

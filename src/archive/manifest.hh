@@ -112,7 +112,9 @@ struct ManifestParseResult
 /**
  * Parse and CRC-verify a manifest document.  Never throws; any schema
  * mismatch, missing field, type error or CRC mismatch is reported in
- * ManifestParseResult::error.
+ * ManifestParseResult::error.  The CRC is checked before the cross-field
+ * invariants (shard sizes, unique names, pair ids), so a corrupted byte
+ * is named as corruption.
  */
 [[nodiscard]] ManifestParseResult tryParseManifest(std::string_view text);
 

@@ -36,9 +36,6 @@ struct PoolMetrics
     obs::FixedHistogram &task_seconds;
     obs::FixedHistogram &queue_wait_seconds;
     obs::FixedHistogram &task_cpu_seconds;
-    obs::Counter &busy_micros_total;
-    obs::Counter &idle_micros_total;
-    obs::Gauge &utilization;
 };
 
 PoolMetrics &
@@ -53,9 +50,6 @@ poolMetrics()
                                  obs::latencyBucketsSeconds()),
         obs::metrics().histogram("util.thread_pool.task_cpu_seconds",
                                  obs::latencyBucketsSeconds()),
-        obs::metrics().counter("util.thread_pool.busy_micros_total"),
-        obs::metrics().counter("util.thread_pool.idle_micros_total"),
-        obs::metrics().gauge("util.thread_pool.utilization"),
     };
     return handles;
 }
@@ -98,7 +92,6 @@ ThreadPool::workerLoop()
     PoolMetrics &pm = poolMetrics();
     for (;;) {
         PendingTask task;
-        const std::uint64_t idle_begin_us = obs::traceNowMicros();
         {
             // Manual predicate loop (not the lambda-predicate overload)
             // so the thread-safety analysis sees the guarded reads of
@@ -107,15 +100,12 @@ ThreadPool::workerLoop()
             while (!stopping && tasks.empty())
                 available.wait(mutex);
             if (tasks.empty())
-                return; // stopping and drained; shutdown wait uncounted
+                return; // stopping and drained
             task = std::move(tasks.front());
             tasks.pop();
             pm.queue_depth.set(static_cast<double>(tasks.size()));
         }
         const std::uint64_t begin_us = obs::traceNowMicros();
-        // Idle = waiting for work; queue wait = the task waiting for a
-        // worker.  Both end at the same dequeue instant.
-        pm.idle_micros_total.add(begin_us - idle_begin_us);
         pm.queue_wait_seconds.observe(
             begin_us > task.enqueue_us
                 ? static_cast<double>(begin_us - task.enqueue_us) * 1e-6
@@ -130,19 +120,12 @@ ThreadPool::workerLoop()
         }
         const std::uint64_t cpu_end_ns = obs::threadCpuNanos();
         const std::uint64_t end_us = obs::traceNowMicros();
-        pm.busy_micros_total.add(end_us - begin_us);
         pm.task_seconds.observe(
             static_cast<double>(end_us - begin_us) * 1e-6);
         pm.task_cpu_seconds.observe(
             cpu_end_ns > cpu_begin_ns
                 ? static_cast<double>(cpu_end_ns - cpu_begin_ns) * 1e-9
                 : 0.0);
-        const double busy =
-            static_cast<double>(pm.busy_micros_total.value());
-        const double idle =
-            static_cast<double>(pm.idle_micros_total.value());
-        pm.utilization.set(busy + idle > 0.0 ? busy / (busy + idle)
-                                             : 0.0);
     }
 }
 

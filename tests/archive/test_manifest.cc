@@ -103,16 +103,48 @@ TEST(Manifest, RejectsTamperedPayload)
     EXPECT_FALSE(parsed.manifest.has_value());
     EXPECT_NE(parsed.error.find("CRC"), std::string::npos) << parsed.error;
 
-    // An internally inconsistent payload is rejected even before the
-    // CRC check: shard sizes must sum to the object size.
+    // A flip that also breaks a cross-field invariant (alpha's
+    // size_bytes 700 -> 701 no longer matches its shards) is still
+    // named as corruption: the CRC is checked first.
     std::string bad_sum = text;
     const std::size_t sat = bad_sum.find("700");
     ASSERT_NE(sat, std::string::npos);
     bad_sum[sat + 2] = '1';
     const ManifestParseResult sum_parsed = tryParseManifest(bad_sum);
     EXPECT_FALSE(sum_parsed.manifest.has_value());
-    EXPECT_NE(sum_parsed.error.find("shard sizes"), std::string::npos)
-        << sum_parsed.error;
+    EXPECT_EQ(sum_parsed.error, "manifest payload CRC mismatch");
+}
+
+TEST(Manifest, RejectsCrossFieldViolationsBehindValidCrc)
+{
+    // A hand-edited manifest whose CRC was recomputed (manifestJson
+    // does that) passes the CRC guard and must still get the reason.
+    const struct
+    {
+        void (*edit)(ArchiveManifest &);
+        const char *expect; //!< Substring of the error message.
+    } cases[] = {
+        {[](ArchiveManifest &m) { m.objects[0].size_bytes = 701; },
+         "'alpha': shard sizes do not sum to size_bytes"},
+        {[](ArchiveManifest &m) { m.objects[1].name = "alpha"; },
+         "duplicate object name: alpha"},
+        // Pair ids must be the contiguous block [1, totalShards]:
+        // a hole or a reused id would index past per-pair tables sized
+        // from nextPairId().
+        {[](ArchiveManifest &m) { m.objects[1].shards[0].pair_id = 7; },
+         "out of range"},
+        {[](ArchiveManifest &m) { m.objects[1].shards[0].pair_id = 1; },
+         "addresses two shards"},
+    };
+    for (const auto &c : cases) {
+        ArchiveManifest edited = sampleManifest();
+        c.edit(edited);
+        const ManifestParseResult parsed =
+            tryParseManifest(manifestJson(edited));
+        EXPECT_FALSE(parsed.manifest.has_value()) << c.expect;
+        EXPECT_NE(parsed.error.find(c.expect), std::string::npos)
+            << "error: " << parsed.error;
+    }
 }
 
 TEST(Manifest, RejectsWrongSchemaAndVersion)
@@ -166,7 +198,7 @@ TEST(Manifest, AllSchemesRoundTrip)
 namespace
 {
 
-/** Wrap a payload in the document skeleton.  Structural violations are
+/** Wrap a payload in the document skeleton.  Kind and range errors are
  *  rejected before CRC verification, so crc32 can stay 0. */
 std::string
 docWithPayload(const std::string &payload)
@@ -273,30 +305,6 @@ TEST(Manifest, RejectsStructuralViolations)
                      R"("strands":60}]}])",
                      good_params),
          "missing field: units"},
-        {payloadWith(R"([{"name":"x","crc32":1,"id":0,"size_bytes":9,)"
-                     R"("shards":[{"pair_id":1,"size_bytes":9,)"
-                     R"("strands":60,"units":1}]},)"
-                     R"({"name":"x","crc32":1,"id":1,"size_bytes":9,)"
-                     R"("shards":[{"pair_id":2,"size_bytes":9,)"
-                     R"("strands":60,"units":1}]}])",
-                     good_params),
-         "duplicate object name"},
-        // Pair ids must be the contiguous block [1, totalShards]:
-        // a hole (pair 7 on a single-shard manifest) or a reused id
-        // would index past per-pair tables sized from nextPairId().
-        {payloadWith(R"([{"name":"x","crc32":1,"id":0,"size_bytes":9,)"
-                     R"("shards":[{"pair_id":7,"size_bytes":9,)"
-                     R"("strands":60,"units":1}]}])",
-                     good_params),
-         "out of range"},
-        {payloadWith(R"([{"name":"x","crc32":1,"id":0,"size_bytes":9,)"
-                     R"("shards":[{"pair_id":1,"size_bytes":9,)"
-                     R"("strands":60,"units":1}]},)"
-                     R"({"name":"y","crc32":1,"id":1,"size_bytes":9,)"
-                     R"("shards":[{"pair_id":1,"size_bytes":9,)"
-                     R"("strands":60,"units":1}]}])",
-                     good_params),
-         "addresses two shards"},
     };
 
     for (const auto &c : cases) {

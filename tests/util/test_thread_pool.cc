@@ -164,11 +164,11 @@ TEST(ThreadPool, PublishesQueueWaitAndBusyAccounting)
             empty_tasks.push_back(pool.submit([] {}));
         for (auto &task : empty_tasks)
             task.get();
-        // One task with measurable wall time so busy_micros must move.
+        // One task with measurable wall time so busy time must move.
         pool.submit([] {
               std::this_thread::sleep_for(std::chrono::milliseconds(10));
           }).get();
-    } // destructor joins: busy/idle totals are final
+    } // destructor joins: every task is recorded
     const obs::MetricsSnapshot delta =
         obs::metrics().snapshot().delta(before);
 
@@ -189,18 +189,13 @@ TEST(ThreadPool, PublishesQueueWaitAndBusyAccounting)
     ASSERT_NE(cpu, delta.histograms.end());
     EXPECT_EQ(cpu->second.total_count, tasks->second);
 
-    // The sleeping task makes >= ~10ms of busy wall time; idle is
-    // whatever the other worker accumulated waiting for work.
+    // Busy wall time lives in the task histogram: the sleeping task
+    // alone puts >= ~10ms into its sum.
     const auto busy =
-        delta.counters.find("util.thread_pool.busy_micros_total");
-    ASSERT_NE(busy, delta.counters.end());
-    EXPECT_GE(busy->second, 5000u);
-
-    const auto utilization =
-        delta.gauges.find("util.thread_pool.utilization");
-    ASSERT_NE(utilization, delta.gauges.end());
-    EXPECT_GE(utilization->second.value, 0.0);
-    EXPECT_LE(utilization->second.value, 1.0);
+        delta.histograms.find("util.thread_pool.task_seconds");
+    ASSERT_NE(busy, delta.histograms.end());
+    EXPECT_EQ(busy->second.total_count, tasks->second);
+    EXPECT_GE(busy->second.sum, 0.005);
 }
 
 TEST(ThreadPool, PropagatesSubmitterStageTagIntoWorkers)
@@ -316,6 +311,30 @@ TEST(SharedThreadPool, NumThreadsCapsThreadsIncludingCaller)
     MutexLock lock(mutex);
     EXPECT_GE(ids.size(), 1u);
     EXPECT_LE(ids.size(), 2u);
+}
+
+TEST(SharedThreadPool, MultiThreadLoopRunsChunksConcurrently)
+{
+    // Each of the two chunks holds its thread until both have started,
+    // so a loop that ran every chunk on the caller would stall here and
+    // record a single thread id.
+    Mutex mutex{"test.fan_out"};
+    std::set<std::thread::id> ids;
+    std::atomic<int> started{0};
+    parallelFor(2, 0, 2, [&](std::size_t) {
+        {
+            MutexLock lock(mutex);
+            ids.insert(std::this_thread::get_id());
+        }
+        started.fetch_add(1);
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (started.load() < 2 &&
+               std::chrono::steady_clock::now() < deadline)
+            std::this_thread::yield();
+    });
+    MutexLock lock(mutex);
+    EXPECT_EQ(ids.size(), 2u);
 }
 
 TEST(SharedThreadPool, NestedLoopsCompleteWhilePoolSaturated)

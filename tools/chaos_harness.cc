@@ -559,18 +559,14 @@ main(int argc, char **argv)
         usage();
         return 0;
     }
-    const std::uint64_t cycles =
-        static_cast<std::uint64_t>(args.getInt("cycles", 200));
-    const std::uint64_t master_seed =
-        static_cast<std::uint64_t>(args.getInt("seed", 1));
-    const std::uint64_t start_cycle =
-        static_cast<std::uint64_t>(args.getInt("start-cycle", 0));
+    const std::uint64_t cycles = args.getCount("cycles", 200);
+    const std::uint64_t master_seed = args.getCount("seed", 1);
+    const std::uint64_t start_cycle = args.getCount("start-cycle", 0);
     const std::string dir = args.get("dir", "chaos_archive");
     const std::string trace_out =
         args.get("trace-out", "chaos_trace.json");
     const std::string fsck_json = args.get("fsck-json", "");
-    const std::uint64_t deep_every =
-        static_cast<std::uint64_t>(args.getInt("deep-every", 25));
+    const std::uint64_t deep_every = args.getCount("deep-every", 25);
     const bool verbose = args.getBool("verbose", false);
 
     // The parent must never crash on its own writes: disarm whatever

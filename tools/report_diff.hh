@@ -2,25 +2,22 @@
  * @file
  * `dnastore report diff <baseline.json> <current.json>` — the perf
  * regression gate.  Compares two documents of the same schema
- * (dnastore.run_report, dnastore.bench_table3,
- * dnastore.bench_archive_throughput or dnastore.bench_server_load),
- * extracts the comparable performance series (per-stage seconds,
- * per-mode get seconds, the archive speedup, client latency and
- * throughput), and flags regressions beyond a tolerance.
+ * (dnastore.run_report or dnastore.bench_table3), extracts the per-stage
+ * seconds, and flags regressions beyond a tolerance.  Any other schema
+ * is refused; end-to-end archive and dnastored numbers come from
+ * perfbench/, not from this diff.
  *
- * A latency row regresses when current - baseline exceeds BOTH the
- * relative slack (baseline * tolerance_pct / 100) and the absolute
- * floor; the floor keeps micro-benchmark noise (a stage going from 2ms
- * to 4ms) from tripping a 100% "regression".  Higher-is-better rows
- * (speedup) apply the same rule with the sign flipped.  Rows present in
- * only one document are reported but never gate, so v1 baselines stay
- * diffable against v2 output.
+ * A row regresses when current - baseline exceeds BOTH the relative
+ * slack (baseline * tolerance_pct / 100) and the absolute floor; the
+ * floor keeps micro-benchmark noise (a stage going from 2ms to 4ms) from
+ * tripping a 100% "regression".  Rows present in only one document are
+ * reported but never gate, so v1 baselines stay diffable against v2
+ * output.
  *
  * Exit codes: 0 = within tolerance, 1 = regression, 2 = usage/parse
- * error (including a negative or non-finite --tolerance-pct or
- * --abs-floor).  --markdown additionally writes an attribution report (the
- * row table plus the current document's attribution section — worker
- * busy fraction, queue-wait percentiles — when present).
+ * error (including an unsupported schema or a negative or non-finite
+ * --tolerance-pct or --abs-floor).  --markdown additionally writes the
+ * row table as a Markdown report.
  */
 
 #pragma once
