@@ -11,6 +11,7 @@
  */
 
 #include <iostream>
+#include <stdexcept>
 
 #include "clustering/accuracy.hh"
 #include "clustering/clusterer.hh"
@@ -25,7 +26,7 @@ using namespace dnastore;
 
 int
 main(int argc, char **argv)
-{
+try {
     const ArgParser args(argc, argv);
     const std::size_t num_strands = args.getCount("strands", 1500);
     const double coverage = args.getDouble("coverage", 10.0);
@@ -93,4 +94,7 @@ main(int argc, char **argv)
                  "processes each read once and sustains a\nhigher "
                  "read rate at low error.\n";
     return 0;
+} catch (const std::invalid_argument &error) {
+    std::cerr << argv[0] << ": " << error.what() << "\n";
+    return 2;
 }

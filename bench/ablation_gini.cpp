@@ -15,6 +15,7 @@
  */
 
 #include <iostream>
+#include <stdexcept>
 #include <vector>
 
 #include "codec/matrix_codec.hh"
@@ -28,7 +29,7 @@ using namespace dnastore;
 
 int
 main(int argc, char **argv)
-{
+try {
     const ArgParser args(argc, argv);
     const std::size_t file_bytes = args.getCount("file-bytes", 20000);
     const double error_rate = args.getDouble("error-rate", 0.06);
@@ -134,4 +135,7 @@ main(int argc, char **argv)
                  "fails fewer rows than\nBaseline at the same coverage "
                  "and decodes successfully at lower coverage.\n";
     return 0;
+} catch (const std::invalid_argument &error) {
+    std::cerr << argv[0] << ": " << error.what() << "\n";
+    return 2;
 }

@@ -11,6 +11,7 @@
  */
 
 #include <iostream>
+#include <stdexcept>
 #include <vector>
 
 #include "clustering/accuracy.hh"
@@ -24,7 +25,7 @@ using namespace dnastore;
 
 int
 main(int argc, char **argv)
-{
+try {
     const ArgParser args(argc, argv);
     const std::size_t num_strands = args.getCount("strands", 800);
     const double error_rate = args.getDouble("error-rate", 0.09);
@@ -80,4 +81,7 @@ main(int argc, char **argv)
                  "edit-distance calls. The auto choice sits at\nthe "
                  "saturated plateau without manual tuning.\n";
     return 0;
+} catch (const std::invalid_argument &error) {
+    std::cerr << argv[0] << ": " << error.what() << "\n";
+    return 2;
 }

@@ -39,6 +39,7 @@
 
 #include <iostream>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -95,7 +96,7 @@ reconstructAndMeasure(const Dataset &dataset)
 
 int
 main(int argc, char **argv)
-{
+try {
     const ArgParser args(argc, argv);
     const bool quick = args.getBool("quick");
     const std::size_t train_clusters =
@@ -294,4 +295,7 @@ main(int argc, char **argv)
               << "total wall time: " << Table::fmt(total_timer.seconds(), 1)
               << "s\n";
     return 0;
+} catch (const std::invalid_argument &error) {
+    std::cerr << argv[0] << ": " << error.what() << "\n";
+    return 2;
 }

@@ -11,6 +11,7 @@
  */
 
 #include <iostream>
+#include <stdexcept>
 
 #include "clustering/auto_threshold.hh"
 #include "simulator/iid_channel.hh"
@@ -22,7 +23,7 @@ using namespace dnastore;
 
 int
 main(int argc, char **argv)
-{
+try {
     const ArgParser args(argc, argv);
     const std::size_t num_strands = args.getCount("strands", 800);
     const double coverage = args.getDouble("coverage", 10.0);
@@ -105,4 +106,7 @@ main(int argc, char **argv)
                   << "/" << inter_total << " (no blind merges)\n\n";
     }
     return 0;
+} catch (const std::invalid_argument &error) {
+    std::cerr << argv[0] << ": " << error.what() << "\n";
+    return 2;
 }

@@ -24,6 +24,7 @@
  */
 
 #include <iostream>
+#include <stdexcept>
 #include <vector>
 
 #include "reconstruction/bma.hh"
@@ -39,7 +40,7 @@ using namespace dnastore;
 
 int
 main(int argc, char **argv)
-{
+try {
     const ArgParser args(argc, argv);
     const std::size_t num_clusters = args.getCount("clusters", 1500);
     const std::size_t coverage = args.getCount("coverage", 10);
@@ -141,4 +142,7 @@ main(int argc, char **argv)
                       : "NO")
               << "\n";
     return 0;
+} catch (const std::invalid_argument &error) {
+    std::cerr << argv[0] << ": " << error.what() << "\n";
+    return 2;
 }

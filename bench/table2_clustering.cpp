@@ -17,6 +17,7 @@
  */
 
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -32,7 +33,7 @@ using namespace dnastore;
 
 int
 main(int argc, char **argv)
-{
+try {
     const ArgParser args(argc, argv);
     const std::size_t num_strands = args.getCount("strands", 1500);
     const std::size_t runs = args.getCount("runs", 3);
@@ -106,4 +107,7 @@ main(int argc, char **argv)
                  "tracks or beats q-gram;\nw-gram signatures cost more "
                  "to compute; both runtimes climb with error rate.\n";
     return 0;
+} catch (const std::invalid_argument &error) {
+    std::cerr << argv[0] << ": " << error.what() << "\n";
+    return 2;
 }

@@ -24,6 +24,7 @@
  */
 
 #include <iostream>
+#include <stdexcept>
 #include <vector>
 
 #include "codec/matrix_codec.hh"
@@ -131,7 +132,7 @@ benchJson(const std::vector<ComboResult> &combos, std::size_t file_bytes)
 
 int
 main(int argc, char **argv)
-{
+try {
     const ArgParser args(argc, argv);
     const std::size_t file_bytes = args.getCount("file-bytes", 50000);
     const std::string csv_path = args.get("csv", "");
@@ -230,4 +231,7 @@ main(int argc, char **argv)
     std::cout << "\n(Totals exclude the simulation stage, which has no "
                  "wetlab counterpart in the paper's table.)\n";
     return 0;
+} catch (const std::invalid_argument &error) {
+    std::cerr << argv[0] << ": " << error.what() << "\n";
+    return 2;
 }

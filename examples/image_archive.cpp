@@ -20,6 +20,7 @@
 #include <cmath>
 #include <cstdint>
 #include <iostream>
+#include <stdexcept>
 #include <vector>
 
 #include "codec/matrix_codec.hh"
@@ -100,12 +101,10 @@ meanAbsoluteError(const std::vector<std::uint16_t> &a,
 
 int
 main(int argc, char **argv)
-{
+try {
     const ArgParser args(argc, argv);
-    const std::size_t width =
-        static_cast<std::size_t>(args.getInt("width", 48));
-    const std::size_t height =
-        static_cast<std::size_t>(args.getInt("height", 48));
+    const std::size_t width = args.getCount("width", 48);
+    const std::size_t height = args.getCount("height", 48);
     const double error_rate = args.getDouble("error-rate", 0.07);
     const double coverage = args.getDouble("coverage", 8.0);
 
@@ -184,4 +183,7 @@ main(int argc, char **argv)
                  "strand positions,\nso the same wetlab damage costs far "
                  "less image quality.\n";
     return 0;
+} catch (const std::invalid_argument &error) {
+    std::cerr << argv[0] << ": " << error.what() << "\n";
+    return 2;
 }

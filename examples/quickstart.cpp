@@ -17,6 +17,7 @@
  */
 
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include "codec/matrix_codec.hh"
@@ -32,7 +33,7 @@ using namespace dnastore;
 
 int
 main(int argc, char **argv)
-{
+try {
     const ArgParser args(argc, argv);
     const std::string message = args.get(
         "message",
@@ -130,4 +131,7 @@ main(int argc, char **argv)
     }
     std::cout << "round trip OK\n";
     return 0;
+} catch (const std::invalid_argument &error) {
+    std::cerr << argv[0] << ": " << error.what() << "\n";
+    return 2;
 }

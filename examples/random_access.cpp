@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <system_error>
 #include <vector>
@@ -31,10 +32,9 @@ using namespace dnastore;
 
 int
 main(int argc, char **argv)
-{
+try {
     const ArgParser args(argc, argv);
-    const std::size_t fetch =
-        static_cast<std::size_t>(args.getInt("fetch", 1));
+    const std::size_t fetch = args.getCount("fetch", 1);
     if (fetch > 2) {
         std::cerr << "--fetch must be 0, 1 or 2\n";
         return 1;
@@ -116,4 +116,7 @@ main(int argc, char **argv)
     std::cout << "random access OK: retrieved '" << names[fetch]
               << "' without touching the others\n";
     return 0;
+} catch (const std::invalid_argument &error) {
+    std::cerr << argv[0] << ": " << error.what() << "\n";
+    return 2;
 }

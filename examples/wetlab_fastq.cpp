@@ -21,6 +21,7 @@
  */
 
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -38,7 +39,7 @@ using namespace dnastore;
 
 int
 main(int argc, char **argv)
-{
+try {
     const ArgParser args(argc, argv);
     const std::string fastq_path =
         args.get("fastq", "/tmp/dnastore_wetlab_run.fastq");
@@ -118,4 +119,7 @@ main(int argc, char **argv)
     }
     std::cout << "wetlab round trip OK\n";
     return 0;
+} catch (const std::invalid_argument &error) {
+    std::cerr << argv[0] << ": " << error.what() << "\n";
+    return 2;
 }

@@ -68,6 +68,42 @@ addError(PipelineResult &result, const char *stage, std::string message)
     result.errors.push_back(PipelineError{stage, std::move(message)});
 }
 
+/**
+ * Run @p body under a @p span_name span, never letting it throw, then
+ * fill the per-run fields every entry point reports: the injector's
+ * fault counters, the published run tallies, and the metrics, lock-wait
+ * and allocation deltas across the run.
+ */
+template <typename Body>
+PipelineResult
+measuredRun(const char *span_name, const FaultInjector *injector,
+            Body &&body)
+{
+    PipelineResult result;
+    const obs::MetricsSnapshot metrics_before = obs::metrics().snapshot();
+    const obs::ProfileSnapshot contention_before =
+        obs::lockWaitProfiler.snapshot();
+    const obs::ProfileSnapshot alloc_before = obs::allocProfiler.snapshot();
+    {
+        obs::Span run_span(span_name);
+        try {
+            body(result);
+        } catch (const std::exception &error) {
+            addError(result, "pipeline", error.what());
+        } catch (...) {
+            addError(result, "pipeline", "unknown exception");
+        }
+    }
+    if (injector)
+        result.faults = injector->counters();
+    publishRunMetrics(result);
+    result.metrics = obs::metrics().snapshot().delta(metrics_before);
+    result.contention =
+        obs::lockWaitProfiler.snapshot().delta(contention_before);
+    result.alloc = obs::allocProfiler.snapshot().delta(alloc_before);
+    return result;
+}
+
 /** Worst-of combiner: a stage already failed stays failed. */
 void
 degradeTo(StageStatus &status, StageStatus floor)
@@ -195,29 +231,10 @@ Pipeline::Pipeline(PipelineModules modules, PipelineConfig config)
 PipelineResult
 Pipeline::run(const std::vector<std::uint8_t> &data)
 {
-    PipelineResult result;
-    const obs::MetricsSnapshot before = obs::metrics().snapshot();
-    const obs::locktime::ContentionSnapshot contention_before =
-        obs::locktime::contentionSnapshot();
-    const obs::alloc::AllocSnapshot alloc_before = obs::alloc::allocSnapshot();
-    {
-        obs::Span run_span("pipeline/run");
-        try {
-            runImpl(data, result);
-        } catch (const std::exception &error) {
-            addError(result, "pipeline", error.what());
-        } catch (...) {
-            addError(result, "pipeline", "unknown exception");
-        }
-    }
-    if (mods.fault_injector)
-        result.faults = mods.fault_injector->counters();
-    publishRunMetrics(result);
-    result.metrics = obs::metrics().snapshot().delta(before);
-    result.contention =
-        obs::locktime::contentionSnapshot().delta(contention_before);
-    result.alloc = obs::alloc::allocSnapshot().delta(alloc_before);
-    return result;
+    return measuredRun("pipeline/run", mods.fault_injector,
+                       [&](PipelineResult &result) {
+                           runImpl(data, result);
+                       });
 }
 
 void
@@ -315,54 +332,36 @@ PipelineResult
 Pipeline::runFromReads(const std::vector<Strand> &reads,
                        std::size_t strand_length, std::size_t expected_units)
 {
-    PipelineResult result;
-    const obs::MetricsSnapshot before = obs::metrics().snapshot();
-    const obs::locktime::ContentionSnapshot contention_before =
-        obs::locktime::contentionSnapshot();
-    const obs::alloc::AllocSnapshot alloc_before = obs::alloc::allocSnapshot();
-    obs::Span run_span("pipeline/run_from_reads");
-    try {
-        bool missing = false;
-        for (const auto &[module, present] :
-             {std::pair{"decoder", mods.decoder != nullptr},
-              {"clusterer", mods.clusterer != nullptr},
-              {"reconstructor", mods.reconstructor != nullptr}}) {
-            if (!present) {
-                addError(result, "pipeline",
-                         std::string("missing module: ") + module);
-                missing = true;
-            }
-        }
-        if (missing) {
-            result.status.clustering = StageStatus::Failed;
-            return result;
-        }
-
-        if (mods.fault_injector &&
-            mods.fault_injector->plan().anyReadFaults()) {
-            std::vector<Strand> faulted = reads;
-            mods.fault_injector->injectReads(faulted);
-            result.reads = faulted.size();
-            retrieve(faulted, nullptr, nullptr, strand_length,
-                     expected_units, result);
-        } else {
-            result.reads = reads.size();
-            retrieve(reads, nullptr, nullptr, strand_length, expected_units,
-                     result);
-        }
-    } catch (const std::exception &error) {
-        addError(result, "pipeline", error.what());
-    } catch (...) {
-        addError(result, "pipeline", "unknown exception");
+    PipelineResult missing;
+    for (const auto &[module, present] :
+         {std::pair{"decoder", mods.decoder != nullptr},
+          {"clusterer", mods.clusterer != nullptr},
+          {"reconstructor", mods.reconstructor != nullptr}}) {
+        if (!present)
+            addError(missing, "pipeline",
+                     std::string("missing module: ") + module);
     }
-    if (mods.fault_injector)
-        result.faults = mods.fault_injector->counters();
-    publishRunMetrics(result);
-    result.metrics = obs::metrics().snapshot().delta(before);
-    result.contention =
-        obs::locktime::contentionSnapshot().delta(contention_before);
-    result.alloc = obs::alloc::allocSnapshot().delta(alloc_before);
-    return result;
+    if (!missing.errors.empty()) {
+        missing.status.clustering = StageStatus::Failed;
+        return missing;
+    }
+
+    return measuredRun(
+        "pipeline/run_from_reads", mods.fault_injector,
+        [&](PipelineResult &result) {
+            if (mods.fault_injector &&
+                mods.fault_injector->plan().anyReadFaults()) {
+                std::vector<Strand> faulted = reads;
+                mods.fault_injector->injectReads(faulted);
+                result.reads = faulted.size();
+                retrieve(faulted, nullptr, nullptr, strand_length,
+                         expected_units, result);
+            } else {
+                result.reads = reads.size();
+                retrieve(reads, nullptr, nullptr, strand_length,
+                         expected_units, result);
+            }
+        });
 }
 
 void

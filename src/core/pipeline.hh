@@ -23,9 +23,8 @@
 #include "clustering/clusterer.hh"
 #include "codec/codec.hh"
 #include "core/fault.hh"
-#include "obs/alloc_profiler.hh"
-#include "obs/lock_timing.hh"
 #include "obs/metrics.hh"
+#include "obs/profiler.hh"
 #include "reconstruction/reconstructor.hh"
 #include "simulator/channel.hh"
 #include "simulator/coverage.hh"
@@ -139,16 +138,12 @@ struct PipelineResult
     obs::MetricsSnapshot metrics;
 
     /**
-     * Per-run delta of the lock-contention registry (empty unless
-     * contention profiling is armed, obs/lock_timing.hh).
+     * Per-run deltas of the two sampled profilers (obs/profiler.hh):
+     * contended mutex waits by mutex name, and heap allocations by
+     * stage tag.  Each is empty unless its profiler is armed.
      */
-    obs::locktime::ContentionSnapshot contention;
-
-    /**
-     * Per-run delta of the allocation-attribution table (empty unless
-     * allocation profiling is armed, obs/alloc_profiler.hh).
-     */
-    obs::alloc::AllocSnapshot alloc;
+    obs::ProfileSnapshot contention;
+    obs::ProfileSnapshot alloc;
 };
 
 /** Module wiring for one pipeline instance. */

@@ -1,8 +1,7 @@
 #include "core/run_report.hh"
 
-#include "obs/alloc_profiler.hh"
 #include "obs/json.hh"
-#include "obs/lock_timing.hh"
+#include "obs/profiler.hh"
 #include "obs/report.hh"
 
 namespace dnastore
@@ -32,29 +31,30 @@ writeStage(obs::JsonWriter &json, const char *name, StageStatus status,
 
 void
 writeContention(obs::JsonWriter &json,
-                const obs::locktime::ContentionSnapshot &contention)
+                const obs::ProfileSnapshot &contention)
 {
     json.beginObject();
     json.key("enabled");
     json.value(contention.enabled);
     json.key("mutexes");
     json.beginObject();
-    for (const obs::locktime::MutexWaitSnapshot &m : contention.mutexes) {
+    // Waits are recorded in ns; the report speaks seconds.
+    for (const obs::ProfileEntry &m : contention.entries) {
         json.key(m.name);
         json.beginObject();
         json.key("count");
-        json.value(m.total_count);
+        json.value(m.count);
         json.key("counts");
         json.beginArray();
-        for (const std::uint64_t c : m.counts)
+        for (const std::uint64_t c : m.buckets)
             json.value(c);
         json.endArray();
         json.key("sum_seconds");
-        json.value(m.sum_seconds);
+        json.value(static_cast<double>(m.sum) * 1e-9);
         json.key("upper_bounds");
         json.beginArray();
-        for (const double bound : obs::locktime::waitBucketBoundsSeconds())
-            json.value(bound);
+        for (const std::uint64_t bound : obs::lockWaitProfiler.bounds())
+            json.value(static_cast<double>(bound) * 1e-9);
         json.endArray();
         json.endObject();
     }
@@ -65,7 +65,7 @@ writeContention(obs::JsonWriter &json,
 }
 
 void
-writeAlloc(obs::JsonWriter &json, const obs::alloc::AllocSnapshot &alloc)
+writeAlloc(obs::JsonWriter &json, const obs::ProfileSnapshot &alloc)
 {
     json.beginObject();
     json.key("enabled");
@@ -74,17 +74,20 @@ writeAlloc(obs::JsonWriter &json, const obs::alloc::AllocSnapshot &alloc)
     json.value(std::uint64_t{alloc.sample_every});
     json.key("stages");
     json.beginObject();
-    for (const obs::alloc::StageAllocSnapshot &s : alloc.stages) {
-        json.key(s.stage);
+    // Entries are per stage tag, the sum in bytes; estimates scale the
+    // samples back up by the sampling interval.
+    const std::uint64_t scale = alloc.sample_every;
+    for (const obs::ProfileEntry &s : alloc.entries) {
+        json.key(s.name);
         json.beginObject();
         json.key("estimated_allocs");
-        json.value(s.estimated_allocs);
+        json.value(s.count * scale);
         json.key("estimated_bytes");
-        json.value(s.estimated_bytes);
+        json.value(s.sum * scale);
         json.key("sampled_allocs");
-        json.value(s.sampled_allocs);
+        json.value(s.count);
         json.key("sampled_bytes");
-        json.value(s.sampled_bytes);
+        json.value(s.sum);
         json.endObject();
     }
     json.endObject();

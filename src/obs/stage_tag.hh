@@ -1,11 +1,11 @@
 /**
  * @file
  * Thread-local stage tags: a zero-allocation label naming the pipeline
- * or archive stage the current thread is working for.  The sampling
- * allocation profiler (obs/alloc_profiler.hh) attributes bytes and
- * allocation counts to the active tag, and ThreadPool propagates the
- * submitter's tag into its workers so shard decodes stay attributed to
- * the stage that scheduled them.
+ * or archive stage the current thread is working for.  The sampled
+ * allocation profiler (obs::allocProfiler, obs/profiler.hh) attributes
+ * bytes and allocation counts to the active tag, and ThreadPool
+ * propagates the submitter's tag into its workers so shard decodes stay
+ * attributed to the stage that scheduled them.
  *
  * Tags must be string literals (or otherwise immortal): the thread
  * local stores the pointer, never a copy, so reading it is safe from

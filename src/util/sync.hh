@@ -9,9 +9,10 @@
  *   Mutex      — std::mutex as a DNASTORE_CAPABILITY
  *   MutexLock  — std::lock_guard as a DNASTORE_SCOPED_CAPABILITY
  *
- * A Mutex may carry a name (string literal): when lock-contention
- * profiling is armed (obs/lock_timing.hh), contended acquisitions are
- * timed and recorded per name.  The profiling check costs one relaxed
+ * A Mutex may carry a name (string literal): when the lock-wait
+ * profiler is armed (obs::lockWaitProfiler in obs/profiler.hh, env
+ * DNASTORE_PROFILE_LOCKS), contended acquisitions are timed and
+ * recorded per name.  The profiling check costs one relaxed
  * atomic load when disarmed, and the whole contended path lives inline
  * in this header — the one place dnalint R6 sanctions raw lock calls.
  *   CondVar    — std::condition_variable_any over Mutex; wait(m) is
@@ -37,7 +38,7 @@
 #include <cstdint>
 #include <mutex>
 
-#include "obs/lock_timing.hh"
+#include "obs/profiler.hh"
 #include "util/thread_annotations.hh"
 
 namespace dnastore
@@ -59,7 +60,7 @@ class DNASTORE_CAPABILITY("mutex") Mutex
     void
     lock() DNASTORE_ACQUIRE()
     {
-        if (!obs::locktime::enabled()) {
+        if (!obs::lockWaitProfiler.enabled()) {
             raw_.lock();
             return;
         }
@@ -67,10 +68,10 @@ class DNASTORE_CAPABILITY("mutex") Mutex
         // only a failed try_lock reads the clock and blocks.
         if (raw_.try_lock())
             return;
-        const std::uint64_t begin_ns = obs::locktime::monotonicNanos();
+        const std::uint64_t begin_ns = obs::monotonicNanos();
         raw_.lock();
-        obs::locktime::recordWait(
-            name_, obs::locktime::monotonicNanos() - begin_ns);
+        obs::lockWaitProfiler.record(name_,
+                                     obs::monotonicNanos() - begin_ns);
     }
     void unlock() DNASTORE_RELEASE() { raw_.unlock(); }
     [[nodiscard]] bool
@@ -79,7 +80,7 @@ class DNASTORE_CAPABILITY("mutex") Mutex
         return raw_.try_lock();
     }
 
-    /** The contention-histogram name this mutex records under. */
+    /** The name this mutex's contended waits are recorded under. */
     const char *name() const { return name_; }
 
   private:

@@ -1,6 +1,6 @@
 /**
  * @file
- * Sampled lock-contention timing: the tri-state gate, guaranteed
+ * Sampled lock-wait profiling (obs::lockWaitProfiler): the gate, guaranteed
  * contended waits through the profiled Mutex::lock() path, a seeded
  * two-thread storm, and snapshot delta semantics.  Every test restores
  * the disabled state so profiling never leaks into other tests.
@@ -13,28 +13,30 @@
 #include <thread>
 #include <vector>
 
-#include "obs/lock_timing.hh"
+#include "obs/profiler.hh"
 #include "util/sync.hh"
 
 namespace
 {
 
-namespace locktime = dnastore::obs::locktime;
 using dnastore::Mutex;
 using dnastore::MutexLock;
+using dnastore::obs::ProfileEntry;
+using dnastore::obs::ProfileSnapshot;
+dnastore::obs::Profiler &waits = dnastore::obs::lockWaitProfiler;
 
 /** RAII guard: every test leaves the profiler disarmed and zeroed. */
 struct LockTimingReset
 {
-    LockTimingReset() { locktime::reset(); }
-    ~LockTimingReset() { locktime::reset(); }
+    LockTimingReset() { waits.reset(); }
+    ~LockTimingReset() { waits.reset(); }
 };
 
 /** Snapshot entry for @p name, nullptr when absent. */
-const locktime::MutexWaitSnapshot *
-findMutex(const locktime::ContentionSnapshot &snapshot, const char *name)
+const ProfileEntry *
+findMutex(const ProfileSnapshot &snapshot, const char *name)
 {
-    for (const locktime::MutexWaitSnapshot &m : snapshot.mutexes)
+    for (const ProfileEntry &m : snapshot.entries)
         if (m.name == name)
             return &m;
     return nullptr;
@@ -69,10 +71,9 @@ std::uint64_t
 recordedWaits(const char *name)
 {
     // Keep the snapshot alive: findMutex points into it.
-    const locktime::ContentionSnapshot snapshot =
-        locktime::contentionSnapshot();
-    const locktime::MutexWaitSnapshot *m = findMutex(snapshot, name);
-    return m == nullptr ? 0 : m->total_count;
+    const ProfileSnapshot snapshot = waits.snapshot();
+    const ProfileEntry *m = findMutex(snapshot, name);
+    return m == nullptr ? 0 : m->count;
 }
 
 /**
@@ -96,13 +97,12 @@ stormUntilRecorded(Mutex &mutex, const char *name,
 TEST(LockTiming, DisabledByDefaultAndRecordsNothing)
 {
     const LockTimingReset guard;
-    EXPECT_FALSE(locktime::enabled());
+    EXPECT_FALSE(waits.enabled());
 
     static Mutex mutex{"test.lock_timing_disabled"};
     forceContendedWait(mutex);
 
-    const locktime::ContentionSnapshot snapshot =
-        locktime::contentionSnapshot();
+    const ProfileSnapshot snapshot = waits.snapshot();
     EXPECT_FALSE(snapshot.enabled);
     EXPECT_EQ(findMutex(snapshot, "test.lock_timing_disabled"), nullptr);
 }
@@ -110,43 +110,40 @@ TEST(LockTiming, DisabledByDefaultAndRecordsNothing)
 TEST(LockTiming, RecordsContendedWaitByMutexName)
 {
     const LockTimingReset guard;
-    locktime::enable(1);
-    ASSERT_TRUE(locktime::enabled());
+    waits.enable(1);
+    ASSERT_TRUE(waits.enabled());
 
     static Mutex mutex{"test.lock_timing_contended"};
     stormUntilRecorded(mutex, "test.lock_timing_contended", 1);
 
-    const locktime::ContentionSnapshot snapshot =
-        locktime::contentionSnapshot();
+    const ProfileSnapshot snapshot = waits.snapshot();
     EXPECT_TRUE(snapshot.enabled);
     EXPECT_EQ(snapshot.sample_every, 1u);
-    const locktime::MutexWaitSnapshot *m =
+    const ProfileEntry *m =
         findMutex(snapshot, "test.lock_timing_contended");
     ASSERT_NE(m, nullptr);
-    EXPECT_GE(m->total_count, 1u);
+    EXPECT_GE(m->count, 1u);
     // The blocked thread waited ~5ms; the sum must reflect a real wait,
     // and the histogram must carry bounds+1 buckets summing to count.
-    EXPECT_GT(m->sum_seconds, 0.0);
-    EXPECT_EQ(m->counts.size(),
-              locktime::waitBucketBoundsSeconds().size() + 1);
+    EXPECT_GT(m->sum, 0u);
+    EXPECT_EQ(m->buckets.size(), waits.bounds().size() + 1);
     std::uint64_t bucket_total = 0;
-    for (const std::uint64_t c : m->counts)
+    for (const std::uint64_t c : m->buckets)
         bucket_total += c;
-    EXPECT_EQ(bucket_total, m->total_count);
+    EXPECT_EQ(bucket_total, m->count);
 }
 
 TEST(LockTiming, UncontendedLocksAreNotRecorded)
 {
     const LockTimingReset guard;
-    locktime::enable(1);
+    waits.enable(1);
 
     static Mutex mutex{"test.lock_timing_uncontended"};
     for (int i = 0; i < 100; ++i) {
         MutexLock lock(mutex);
     }
 
-    const locktime::ContentionSnapshot snapshot =
-        locktime::contentionSnapshot();
+    const ProfileSnapshot snapshot = waits.snapshot();
     // try_lock succeeds every time, so the profiled path never fires.
     EXPECT_EQ(findMutex(snapshot, "test.lock_timing_uncontended"),
               nullptr);
@@ -155,54 +152,48 @@ TEST(LockTiming, UncontendedLocksAreNotRecorded)
 TEST(LockTiming, TwoThreadStormAccumulatesWaits)
 {
     const LockTimingReset guard;
-    locktime::enable(1);
+    waits.enable(1);
 
     static Mutex mutex{"test.lock_timing_storm"};
     constexpr std::uint64_t kWaits = 8;
     stormUntilRecorded(mutex, "test.lock_timing_storm", kWaits);
 
-    const locktime::ContentionSnapshot snapshot =
-        locktime::contentionSnapshot();
-    const locktime::MutexWaitSnapshot *m =
-        findMutex(snapshot, "test.lock_timing_storm");
+    const ProfileSnapshot snapshot = waits.snapshot();
+    const ProfileEntry *m = findMutex(snapshot, "test.lock_timing_storm");
     ASSERT_NE(m, nullptr);
-    EXPECT_GE(m->total_count, kWaits);
-    // Each wait blocked for ~5ms, so the aggregate is well clear of 0
-    // and the per-wait mean lands in a plausible bucket range.
-    EXPECT_GT(m->sum_seconds, 0.001);
+    EXPECT_GE(m->count, kWaits);
+    // Each wait blocked for ~5ms, so the aggregate (in ns) is well
+    // clear of 0 and the per-wait mean lands in a plausible bucket range.
+    EXPECT_GT(m->sum, 1000000u);
 }
 
 TEST(LockTiming, DeltaDropsQuietMutexesAndSubtracts)
 {
     const LockTimingReset guard;
-    locktime::enable(1);
+    waits.enable(1);
 
     static Mutex mutex{"test.lock_timing_delta"};
     stormUntilRecorded(mutex, "test.lock_timing_delta", 1);
-    const locktime::ContentionSnapshot before =
-        locktime::contentionSnapshot();
-    const locktime::ContentionSnapshot quiet =
-        locktime::contentionSnapshot().delta(before);
+    const ProfileSnapshot before = waits.snapshot();
+    const ProfileSnapshot quiet = waits.snapshot().delta(before);
     EXPECT_EQ(findMutex(quiet, "test.lock_timing_delta"), nullptr);
 
     stormUntilRecorded(mutex, "test.lock_timing_delta",
                        recordedWaits("test.lock_timing_delta") + 1);
-    const locktime::ContentionSnapshot active =
-        locktime::contentionSnapshot().delta(before);
-    const locktime::MutexWaitSnapshot *m =
-        findMutex(active, "test.lock_timing_delta");
+    const ProfileSnapshot active = waits.snapshot().delta(before);
+    const ProfileEntry *m = findMutex(active, "test.lock_timing_delta");
     ASSERT_NE(m, nullptr);
-    EXPECT_GE(m->total_count, 1u);
+    EXPECT_GE(m->count, 1u);
 }
 
 TEST(LockTiming, SamplingIntervalIsReported)
 {
     const LockTimingReset guard;
-    locktime::enable(8);
-    EXPECT_EQ(locktime::sampleEvery(), 8u);
-    EXPECT_EQ(locktime::contentionSnapshot().sample_every, 8u);
-    locktime::disable();
-    EXPECT_FALSE(locktime::enabled());
+    waits.enable(8);
+    EXPECT_EQ(waits.sampleEvery(), 8u);
+    EXPECT_EQ(waits.snapshot().sample_every, 8u);
+    waits.disable();
+    EXPECT_FALSE(waits.enabled());
 }
 
 } // namespace

@@ -15,7 +15,7 @@
 #include "codec/matrix_codec.hh"
 #include "core/pipeline.hh"
 #include "core/run_report.hh"
-#include "obs/lock_timing.hh"
+#include "obs/profiler.hh"
 #include "obs/span.hh"
 #include "obs/trace_export.hh"
 #include "reconstruction/nw_consensus.hh"
@@ -64,7 +64,7 @@ realRun()
         std::vector<std::uint8_t> data(1200);
         for (auto &b : data)
             b = static_cast<std::uint8_t>(rng.below(256));
-        obs::locktime::enable();
+        obs::lockWaitProfiler.enable();
         obs::TraceSink sink;
         obs::installTraceSink(&sink);
         RealRun out;
@@ -228,11 +228,11 @@ TEST(ReportCheck, RejectsMalformedHistograms)
                    "decoding.bad_seconds.counts do not sum");
 
     result = realRun().result;
-    obs::locktime::MutexWaitSnapshot mutex;
+    obs::ProfileEntry mutex;
     mutex.name = "test.mutex";
-    mutex.counts = {1};
-    mutex.total_count = 1;
-    result.contention.mutexes.push_back(mutex);
+    mutex.buckets = {1};
+    mutex.count = 1;
+    result.contention.entries.push_back(mutex);
     expectRejected(runReport(result), "contention.mutexes.test.mutex");
 
     obs::MetricsSnapshot metrics = serverMetrics();
@@ -259,13 +259,16 @@ TEST(ReportCheck, RejectsBrokenAttribution)
     result.contention.sample_every = 0;
     expectRejected(runReport(result), "contention.sample_every");
 
+    // The writer derives the estimate from the samples, so the broken
+    // estimate is edited into the JSON.
     result = realRun().result;
-    obs::alloc::StageAllocSnapshot stage;
-    stage.stage = "encoding";
-    stage.sampled_allocs = 2;
-    stage.estimated_allocs = 1;
-    result.alloc.stages.push_back(stage);
-    expectRejected(runReport(result), "alloc.stages.encoding.sampled_allocs");
+    obs::ProfileEntry stage;
+    stage.name = "encoding";
+    stage.count = 2;
+    result.alloc.entries.push_back(stage);
+    expectRejected(replaced(runReport(result), "\"estimated_allocs\":2,",
+                            "\"estimated_allocs\":1,"),
+                   "alloc.stages.encoding.sampled_allocs");
 
     result = realRun().result;
     ASSERT_GT(result.metrics.counters["util.thread_pool.tasks_total"], 0U);

@@ -39,6 +39,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -553,7 +554,7 @@ usage()
 
 int
 main(int argc, char **argv)
-{
+try {
     const ArgParser args(argc, argv);
     if (args.getBool("help", false)) {
         usage();
@@ -675,4 +676,7 @@ main(int argc, char **argv)
             cycleTraceJson(last, master_seed, cycles - 1, dir, ""));
     }
     return 0;
+} catch (const std::invalid_argument &error) {
+    std::cerr << argv[0] << ": " << error.what() << "\n";
+    return 2;
 }

@@ -42,7 +42,7 @@
 #include "core/pipeline.hh"
 #include "core/run_report.hh"
 #include "core/text_io.hh"
-#include "obs/lock_timing.hh"
+#include "obs/profiler.hh"
 #include "obs/report.hh"
 #include "obs/span.hh"
 #include "obs/trace_export.hh"
@@ -294,7 +294,7 @@ cmdPipeline(const ArgParser &args)
     // way, including an explicit 0).
     if (!metrics_path.empty() &&
         std::getenv("DNASTORE_PROFILE_LOCKS") == nullptr)
-        obs::locktime::enable();
+        obs::lockWaitProfiler.enable();
     obs::TraceSink trace_sink;
     if (!trace_path.empty())
         obs::installTraceSink(&trace_sink);
